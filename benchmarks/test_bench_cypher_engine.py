@@ -80,45 +80,53 @@ def test_pattern_predicate_filter(benchmark, graph):
 
 
 # ----------------------------------------------------------------------
-# cost-based planner A/B
+# planned CSR walk: timings and pinned work counters
 # ----------------------------------------------------------------------
 AB_QUERY = (
     "MATCH (p:Person)-[:SCORED_GOAL]->(m:Match) "
     "WHERE p.id = 7 RETURN count(*) AS c"
 )
 
+JOIN3_QUERY = (
+    "MATCH (p:Person)-[:IN_SQUAD]->(s:Squad), "
+    "(s)-[:FOR]->(t:Tournament), "
+    "(p)-[:SCORED_GOAL]->(m:Match) "
+    "WHERE p.id = 482 RETURN count(*) AS c"
+)
 
-def _run(graph, text, planner):
+
+def _run(graph, text):
     from repro.cypher import Executor
 
-    return Executor(graph, planner=planner).run(parse(text))
+    return Executor(graph).run(parse(text))
 
 
-def _expansions(graph, text, planner):
-    """(rows, matcher.seeds, matcher.expansions) for one execution."""
+def _work(graph, text):
+    """(rows, seeds, expansions, visits, CSR slices) for one cold-plan
+    execution, read from the matcher's obs counters."""
     from repro import obs
-    from repro.cypher import Executor, clear_plan_caches
+    from repro.cypher import clear_plan_caches
 
     clear_plan_caches()
     collector = obs.install()
     try:
-        result = Executor(graph, planner=planner).run(parse(text))
-        seeds = collector.metrics.counter("matcher.seeds").total()
-        expansions = collector.metrics.counter("matcher.expansions").total()
+        result = _run(graph, text)
+        counts = tuple(
+            collector.metrics.counter(name).total()
+            for name in (
+                "matcher.seeds",
+                "matcher.expansions",
+                "matcher.visits",
+                "matcher.csr.frontier_expansions",
+            )
+        )
     finally:
         obs.uninstall()
-    return result, seeds, expansions
+    return (result,) + counts
 
 
 def test_planner_ab_selective_filter_planned(benchmark, graph):
-    from repro.cypher import default_planner
-
-    result = benchmark(_run, graph, AB_QUERY, default_planner())
-    assert result.scalar() is not None
-
-
-def test_planner_ab_selective_filter_unplanned(benchmark, graph):
-    result = benchmark(_run, graph, AB_QUERY, None)
+    result = benchmark(_run, graph, AB_QUERY)
     assert result.scalar() is not None
 
 
@@ -129,134 +137,36 @@ def test_planner_ab_reorder_join(benchmark, graph):
         "MATCH (p:Person), (s:Squad {id: 3}) "
         "WHERE p.id = s.id RETURN count(*) AS c"
     )
-    from repro.cypher import default_planner
-
-    result = benchmark(_run, graph, query, default_planner())
+    result = benchmark(_run, graph, query)
     assert result.scalar() is not None
-
-
-def test_planner_halves_expansions(graph):
-    """The ISSUE acceptance bar: >=2x fewer node expansions with the
-    planner on, measured through the obs counters."""
-    from repro.cypher import default_planner
-
-    on, on_seeds, on_exp = _expansions(graph, AB_QUERY, default_planner())
-    off, off_seeds, off_exp = _expansions(graph, AB_QUERY, None)
-    assert on.scalar() == off.scalar()
-    assert off_seeds >= 2 * max(on_seeds, 1)
-    assert off_exp >= 2 * max(on_exp, 1)
 
 
 def test_plan_cache_amortizes_planning(benchmark, graph):
-    from repro.cypher import clear_plan_caches, default_planner
+    from repro.cypher import clear_plan_caches
 
     clear_plan_caches()
-    planner = default_planner()
-    _run(graph, AB_QUERY, planner)  # warm the plan cache
+    _run(graph, AB_QUERY)  # warm the plan cache
 
-    result = benchmark(_run, graph, AB_QUERY, planner)
+    result = benchmark(_run, graph, AB_QUERY)
     assert result.scalar() is not None
-
-
-JOIN3_QUERY = (
-    "MATCH (p:Person)-[:IN_SQUAD]->(s:Squad), "
-    "(s)-[:FOR]->(t:Tournament), "
-    "(p)-[:SCORED_GOAL]->(m:Match) "
-    "WHERE p.id = 482 RETURN count(*) AS c"
-)
 
 
 def test_planner_ab_three_clause_join_planned(benchmark, graph):
-    from repro.cypher import default_planner
-
-    result = benchmark(_run, graph, JOIN3_QUERY, default_planner())
+    result = benchmark(_run, graph, JOIN3_QUERY)
     assert result.scalar() is not None
 
 
-def test_planner_ab_three_clause_join_unplanned(benchmark, graph):
-    result = benchmark(_run, graph, JOIN3_QUERY, None)
-    assert result.scalar() is not None
+def test_selective_filter_work_pinned(graph):
+    """An index seed on ``p.id`` plus a typed SCORED_GOAL slice: one
+    seed, one slice fetch, and nothing in it to expand."""
+    result, seeds, expansions, visits, slices = _work(graph, AB_QUERY)
+    assert result.scalar() == 0
+    assert (seeds, expansions, visits, slices) == (1, 0, 0, 1)
 
 
-def test_planner_halves_expansions_three_clause_join(graph):
-    """The acceptance workload: a high-selectivity property predicate
-    over a 3-pattern join must cut matcher expansions >=2x."""
-    from repro.cypher import default_planner
-
-    on, on_seeds, on_exp = _expansions(graph, JOIN3_QUERY, default_planner())
-    off, off_seeds, off_exp = _expansions(graph, JOIN3_QUERY, None)
-    assert on.scalar() == off.scalar()
-    assert off_seeds >= 2 * max(on_seeds, 1)
-    assert off_exp >= 2 * max(on_exp, 1)
-
-
-# ----------------------------------------------------------------------
-# columnar CSR matcher A/B
-# ----------------------------------------------------------------------
-def _visits(graph, text, columnar):
-    """(rows, matcher.visits, csr frontier expansions) for one run."""
-    from repro import obs
-    from repro.cypher import Executor, clear_plan_caches
-
-    clear_plan_caches()
-    collector = obs.install()
-    try:
-        result = Executor(graph, columnar=columnar).run(parse(text))
-        visits = collector.metrics.counter("matcher.visits").total()
-        frontiers = collector.metrics.counter(
-            "matcher.csr.frontier_expansions"
-        ).total()
-    finally:
-        obs.uninstall()
-    return result, visits, frontiers
-
-
-def _run_columnar(graph, text, columnar):
-    from repro.cypher import Executor
-
-    return Executor(graph, columnar=columnar).run(parse(text))
-
-
-def test_columnar_ab_selective_filter_on(benchmark, graph):
-    graph.columnar()  # compile outside the timed region
-    result = benchmark(_run_columnar, graph, AB_QUERY, True)
-    assert result.scalar() is not None
-
-
-def test_columnar_ab_selective_filter_off(benchmark, graph):
-    result = benchmark(_run_columnar, graph, AB_QUERY, False)
-    assert result.scalar() is not None
-
-
-def test_columnar_ab_three_clause_join_on(benchmark, graph):
-    graph.columnar()
-    result = benchmark(_run_columnar, graph, JOIN3_QUERY, True)
-    assert result.scalar() is not None
-
-
-def test_columnar_ab_three_clause_join_off(benchmark, graph):
-    result = benchmark(_run_columnar, graph, JOIN3_QUERY, False)
-    assert result.scalar() is not None
-
-
-def test_columnar_cuts_candidate_visits(graph):
-    """The ISSUE acceptance bar: the CSR frontier touches >=3x fewer
-    Python-level adjacency candidates than the legacy object walk on
-    the selective-filter workload (typed slices skip non-matching
-    edge types entirely instead of filtering row by row)."""
-    on, on_visits, on_frontiers = _visits(graph, AB_QUERY, True)
-    off, off_visits, off_frontiers = _visits(graph, AB_QUERY, False)
-    assert on.scalar() == off.scalar()
-    assert on_frontiers > 0          # the CSR path actually ran
-    assert off_frontiers == 0        # and the legacy path did not
-    assert off_visits >= 3 * max(on_visits, 1)
-
-
-def test_columnar_cuts_candidate_visits_three_clause_join(graph):
-    """Same bar on the 3-pattern-join workload."""
-    on, on_visits, on_frontiers = _visits(graph, JOIN3_QUERY, True)
-    off, off_visits, off_frontiers = _visits(graph, JOIN3_QUERY, False)
-    assert on.scalar() == off.scalar()
-    assert on_frontiers > 0
-    assert off_frontiers == 0
-    assert off_visits >= 3 * max(on_visits, 1)
+def test_three_clause_join_work_pinned(graph):
+    """The 3-pattern join seeds once per pattern and touches only the
+    five typed adjacency entries that lead to its three rows."""
+    result, seeds, expansions, visits, slices = _work(graph, JOIN3_QUERY)
+    assert result.scalar() == 3
+    assert (seeds, expansions, visits, slices) == (3, 5, 5, 3)

@@ -395,7 +395,9 @@ def evaluate(expr: Expression, ctx: EvalContext) -> object:
         # resolved lazily to avoid a circular import with the matcher
         from repro.cypher.matcher import pattern_exists
 
-        return pattern_exists(ctx.graph, expr.pattern, ctx.bindings)
+        return pattern_exists(
+            ctx.graph, expr.pattern, ctx.bindings, ctx.parameters
+        )
 
     raise CypherSemanticError(
         f"cannot evaluate expression node {type(expr).__name__}"

@@ -46,16 +46,14 @@ from repro.cypher.evaluator import EvalContext, contains_aggregate, evaluate
 from repro.cypher.functions import aggregate, is_aggregate
 from repro.cypher.matcher import MatchStats, Path, match_patterns
 from repro.cypher.parser import parse
+from repro.cypher.planner import default_planner
 from repro.graph.model import Edge, Node
 from repro.graph.store import PropertyGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cypher.planner import ClausePlan, QueryPlan, QueryPlanner
+    from repro.cypher.planner import ClausePlan, QueryPlan
 
 Row = dict[str, object]
-
-#: sentinel meaning "use the process-wide default planner"
-_DEFAULT = object()
 
 
 @dataclass
@@ -227,30 +225,17 @@ class Executor:
         self,
         graph: PropertyGraph,
         parameters: Mapping[str, object] | None = None,
-        planner: "QueryPlanner | None | object" = _DEFAULT,
-        columnar: bool = True,
     ) -> None:
         self.graph = graph
         self.parameters = dict(parameters or {})
-        if planner is _DEFAULT:
-            from repro.cypher.planner import default_planner
-
-            planner = default_planner()
-        # escape hatch: Executor(graph, planner=None) runs unplanned
-        self.planner: "QueryPlanner | None" = planner
-        # escape hatch: columnar=False pins every clause to the legacy
-        # matcher even when the graph has a CSR snapshot available
-        self.columnar = columnar
 
     # ------------------------------------------------------------------
     def _plan(self, query: Query) -> "QueryPlan | None":
-        if self.planner is None:
-            return None
         try:
-            return self.planner.plan(query, self.graph)
+            return default_planner().plan(query, self.graph)
         except Exception:
             # a planning bug must never break a query; fall back to the
-            # unplanned pipeline and record that it happened
+            # written-order walk and record that it happened
             obs.inc("planner.errors")
             return None
 
@@ -438,7 +423,8 @@ class Executor:
 
     def _apply_merge(self, clause: MergeClause, row: Row) -> Row:
         matches = list(match_patterns(
-            self.graph, (clause.pattern,), dict(row)
+            self.graph, (clause.pattern,), dict(row),
+            parameters=self.parameters,
         ))
         if matches:
             return matches[0]
@@ -580,7 +566,7 @@ class Executor:
             obs.inc("matcher.seeds", stats.seeds)
             obs.inc("matcher.expansions", stats.expansions)
             obs.inc("matcher.visits", stats.visits)
-            obs.inc("matcher.csr.frontier_expansions", stats.csr_frontiers)
+            obs.inc("matcher.csr.frontier_expansions", stats.frontiers)
             if clause_plan is not None:
                 obs.observe("planner.estimated_rows", clause_plan.estimate)
                 obs.observe("planner.actual_rows", matched_total)
@@ -593,6 +579,7 @@ class Executor:
         stats: MatchStats,
     ) -> Iterable[Row]:
         """Matches of one input row, WHERE already applied."""
+        where = clause.where
         if clause_plan is not None:
             try:
                 prefilter_ok = all(
@@ -600,36 +587,26 @@ class Executor:
                     for predicate in clause_plan.prefilter
                 )
             except CypherError:
-                # legacy semantics raise such errors only on rows that
-                # have at least one pattern match; re-run unplanned so
-                # the error surfaces with identical timing (or not at
-                # all, when nothing matches)
+                # unplanned semantics raise such errors only on rows that
+                # have at least one pattern match; walk the written
+                # patterns with the full WHERE instead, so the error
+                # surfaces with identical timing (or not at all, when
+                # nothing matches)
                 clause_plan = None
             else:
                 if not prefilter_ok:
                     return
-                for bindings in match_patterns(
-                    self.graph,
-                    clause.patterns,
-                    dict(row),
-                    plan=clause_plan,
-                    parameters=self.parameters,
-                    stats=stats,
-                    columnar=self.columnar,
-                ):
-                    if clause_plan.residual is not None:
-                        residual = evaluate(
-                            clause_plan.residual, self._ctx(bindings)
-                        )
-                        if residual is not True:
-                            continue
-                    yield bindings
-                return
+                where = clause_plan.residual
         for bindings in match_patterns(
-            self.graph, clause.patterns, dict(row), stats=stats
+            self.graph,
+            clause.patterns,
+            dict(row),
+            plan=clause_plan,
+            parameters=self.parameters,
+            stats=stats,
         ):
-            if clause.where is not None:
-                if evaluate(clause.where, self._ctx(bindings)) is not True:
+            if where is not None:
+                if evaluate(where, self._ctx(bindings)) is not True:
                     continue
             yield bindings
 
@@ -802,15 +779,7 @@ class Executor:
                 f"aggregate {call.name}() takes exactly one argument"
             )
         values = [evaluate(call.args[0], self._ctx(row)) for row in rows]
-        values = [_hashable_for_distinct(v) if call.distinct else v
-                  for v in values]
         return aggregate(call.name, values, call.distinct)
-
-
-def _hashable_for_distinct(value: object) -> object:
-    # aggregate() deduplicates with list membership, so unhashable values
-    # are fine as-is; this hook exists for symmetry/future optimisation
-    return value
 
 
 class _InvertedKey:

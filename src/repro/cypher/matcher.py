@@ -1,24 +1,36 @@
-"""Graph pattern matching for MATCH clauses.
+"""Graph pattern matching for MATCH clauses, over the CSR snapshot.
 
 Implements Cypher's matching semantics for the supported subset:
 
 * label and property-map filters on nodes and relationships;
 * all three directions (``->``, ``<-``, undirected);
-* simple variable-length relationships ``*m..n``;
+* variable-length relationships ``*m..n``, zero hops included;
 * *relationship uniqueness* within a single MATCH clause (the same edge
   cannot be traversed twice, Cypher's "relationship isomorphism");
 * re-use of already-bound variables (joins across patterns and clauses).
 
-Matching is a depth-first search.  By default it seeds from the cheapest
-statically-known index (bound variable, then label index, then full
-scan); the cost-based planner in :mod:`repro.cypher.planner` can instead
-supply a :class:`SeedSpec` per pattern (property-index lookups, cheapest
-label) plus per-position predicate *checks* — WHERE conjuncts pushed
-down to the earliest DFS step where their variables are bound.
+Every match is one depth-first walk over the int-id columnar snapshot
+of the graph's current epoch (:class:`repro.graph.columnar.ColumnarGraph`):
 
-Relationship uniqueness is enforced with a single mutable set of used
-edge ids threaded through the DFS (O(1) membership, add on descent,
-discard on backtrack) rather than copying the set at every step.
+* frontiers expand over contiguous CSR adjacency slices — a single-type
+  relationship reads exactly its typed segment, so edges of other types
+  are never touched (``MatchStats.visits`` measures this);
+* a variable-length relationship iterates that frontier hop by hop, an
+  explicit stack of slices standing in for recursion;
+* label filtering compares interned label codes;
+* pushed-down WHERE prefilters of the shape ``var.key = <literal>`` /
+  ``var.key IS [NOT] NULL`` are evaluated against the property columns
+  *before* a bindings dict is materialized — only the order-preserved
+  remainder goes through the general evaluator;
+* relationship uniqueness is a bitset keyed by dense edge id, set on
+  descent and cleared on backtrack.
+
+A planned clause runs the planner's steps (:mod:`repro.cypher.planner`):
+reordered and possibly reversed patterns, a :class:`SeedSpec` per
+pattern, and per-position predicate *checks*.  Pattern predicates,
+MERGE and the executor's unplanned fallbacks run the written patterns
+in order instead, seeded from each first node's first label (else every
+node), with no pushdown.
 """
 
 from __future__ import annotations
@@ -27,12 +39,19 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from repro.cypher.ast_nodes import (
+    BinaryOp,
     Expression,
+    IsNull,
+    Literal,
     NodePattern,
     PathPattern,
+    PropertyAccess,
     RelPattern,
+    Variable,
 )
 from repro.cypher.errors import CypherError, CypherSemanticError
+from repro.cypher.evaluator import EvalContext, _equals, evaluate
+from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import Edge, Node
 from repro.graph.store import PropertyGraph, property_index_key
 
@@ -40,6 +59,9 @@ from repro.graph.store import PropertyGraph, property_index_key
 #: predicates to evaluate once that element (and its preceding
 #: relationship) is bound
 Checks = Mapping[int, Sequence[Expression]]
+
+#: a column prefilter: ("eq", key, literal) or ("null", key, negated)
+_ColumnTest = tuple[str, str, object]
 
 
 @dataclass(frozen=True)
@@ -64,24 +86,23 @@ class SeedSpec:
 class MatchStats:
     """Mutable node-expansion counters for one match run.
 
-    ``expansions`` (pairs surviving the relationship-type filter) is
-    identical between the legacy and CSR paths by construction;
-    ``visits`` (adjacency entries touched *before* type filtering) is
-    where the CSR typed slices win, and is the A/B benchmark metric.
+    ``expansions`` counts (edge, neighbour) pairs taken off a frontier;
+    ``visits`` counts adjacency entries touched, which a typed slice
+    keeps to the matching edges; ``frontiers`` counts slice fetches.
     """
 
-    __slots__ = ("seeds", "expansions", "visits", "csr_frontiers")
+    __slots__ = ("seeds", "expansions", "visits", "frontiers")
 
     def __init__(self) -> None:
         self.seeds = 0          # candidate start nodes enumerated
         self.expansions = 0     # (edge, neighbour) pairs considered
         self.visits = 0         # adjacency entries touched pre-filter
-        self.csr_frontiers = 0  # contiguous CSR slices fetched
+        self.frontiers = 0      # contiguous CSR slices fetched
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MatchStats(seeds={self.seeds}, expansions={self.expansions}, "
-            f"visits={self.visits}, csr_frontiers={self.csr_frontiers})"
+            f"visits={self.visits}, frontiers={self.frontiers})"
         )
 
 
@@ -114,15 +135,40 @@ class Path:
         return f"Path(len={len(self)})"
 
 
+# ----------------------------------------------------------------------
+# element filters
+# ----------------------------------------------------------------------
+def _properties_match(
+    graph: PropertyGraph,
+    element: Node | Edge,
+    property_filters: tuple,
+    bindings: Mapping[str, object],
+    parameters: Mapping[str, object] | None,
+) -> bool:
+    if not property_filters:
+        return True
+    ctx = EvalContext(
+        graph=graph, parameters=parameters or {}, bindings=dict(bindings)
+    )
+    for key, value_expr in property_filters:
+        expected = evaluate(value_expr, ctx)
+        if _equals(element.properties.get(key), expected) is not True:
+            return False
+    return True
+
+
 def _node_satisfies(
     graph: PropertyGraph,
     node: Node,
     pattern: NodePattern,
     bindings: Mapping[str, object],
+    parameters: Mapping[str, object] | None,
 ) -> bool:
     if any(label not in node.labels for label in pattern.labels):
         return False
-    return _properties_match(graph, node, pattern.properties, bindings)
+    return _properties_match(
+        graph, node, pattern.properties, bindings, parameters
+    )
 
 
 def _edge_satisfies(
@@ -130,29 +176,13 @@ def _edge_satisfies(
     edge: Edge,
     pattern: RelPattern,
     bindings: Mapping[str, object],
+    parameters: Mapping[str, object] | None,
 ) -> bool:
     if pattern.types and edge.label not in pattern.types:
         return False
-    return _properties_match(graph, edge, pattern.properties, bindings)
-
-
-def _properties_match(
-    graph: PropertyGraph,
-    element: Node | Edge,
-    property_filters: tuple,
-    bindings: Mapping[str, object],
-) -> bool:
-    if not property_filters:
-        return True
-    # evaluated lazily to avoid a circular import
-    from repro.cypher.evaluator import EvalContext, _equals, evaluate
-
-    ctx = EvalContext(graph=graph, bindings=dict(bindings))
-    for key, value_expr in property_filters:
-        expected = evaluate(value_expr, ctx)
-        if _equals(element.properties.get(key), expected) is not True:
-            return False
-    return True
+    return _properties_match(
+        graph, edge, pattern.properties, bindings, parameters
+    )
 
 
 def _checks_pass(
@@ -169,26 +199,127 @@ def _checks_pass(
     """
     if not predicates:
         return True
-    from repro.cypher.evaluator import EvalContext, evaluate
-
     ctx = EvalContext(
         graph=graph, parameters=parameters or {}, bindings=dict(bindings)
     )
     return all(evaluate(pred, ctx) is True for pred in predicates)
 
 
-def _seed_source(
+# ----------------------------------------------------------------------
+# column prefilters
+# ----------------------------------------------------------------------
+def _column_test(
+    predicate: Expression, variable: str | None
+) -> _ColumnTest | None:
+    """Compile one pushed conjunct into a column test, if it only reads
+    ``variable``'s own properties against constants (such a test cannot
+    raise and cannot see any other binding)."""
+    if variable is None:
+        return None
+    if isinstance(predicate, IsNull):
+        operand = predicate.operand
+        if (
+            isinstance(operand, PropertyAccess)
+            and isinstance(operand.subject, Variable)
+            and operand.subject.name == variable
+        ):
+            return ("null", operand.key, predicate.negated)
+        return None
+    if isinstance(predicate, BinaryOp) and predicate.op == "=":
+        sides = (
+            (predicate.left, predicate.right),
+            (predicate.right, predicate.left),
+        )
+        for prop, literal in sides:
+            if (
+                isinstance(prop, PropertyAccess)
+                and isinstance(prop.subject, Variable)
+                and prop.subject.name == variable
+                and isinstance(literal, Literal)
+            ):
+                return ("eq", prop.key, literal.value)
+    return None
+
+
+def _column_prefix(
+    predicates: Sequence[Expression] | None, variable: str | None
+) -> tuple[tuple[_ColumnTest, ...], tuple[Expression, ...]]:
+    """Split pushed conjuncts into a *leading* run of column tests plus
+    the order-preserved remainder.
+
+    Only a prefix may be hoisted: ``all()`` evaluates conjuncts in order
+    and a later conjunct may raise, so skipping ahead of one would
+    change error semantics.
+    """
+    if not predicates:
+        return (), ()
+    fast: list[_ColumnTest] = []
+    remainder = list(predicates)
+    while remainder:
+        test = _column_test(remainder[0], variable)
+        if test is None:
+            break
+        fast.append(test)
+        remainder.pop(0)
+    return tuple(fast), tuple(remainder)
+
+
+def _passes_columns(
+    snapshot: ColumnarGraph, nid: int, tests: tuple[_ColumnTest, ...]
+) -> bool:
+    for kind, key, payload in tests:
+        value = snapshot.node_prop(nid, key)
+        if kind == "eq":
+            if _equals(value, payload) is not True:
+                return False
+        else:  # "null": payload is the IS NOT NULL flag
+            if (value is None) == payload:
+                return False
+    return True
+
+
+def _prepare_pattern(
+    snapshot: ColumnarGraph,
+    pattern: PathPattern,
+    checks: Checks,
+) -> dict[int, object]:
+    """Per-element int-domain metadata: the typed-slice code for each
+    relationship, and (label codes, column prefilters, residual checks)
+    for each node element."""
+    meta: dict[int, object] = {}
+    for index, element in enumerate(pattern.elements):
+        if isinstance(element, RelPattern):
+            meta[index] = (
+                snapshot.single_type_code(element.types[0])
+                if len(element.types) == 1
+                else None
+            )
+        else:
+            codes = tuple(
+                snapshot.label_code.get(label, -1)
+                for label in element.labels
+            )
+            fast, rest = _column_prefix(
+                checks.get(index), element.variable
+            )
+            meta[index] = (codes, fast, rest)
+    return meta
+
+
+# ----------------------------------------------------------------------
+# frontiers
+# ----------------------------------------------------------------------
+def _seed_nids(
     graph: PropertyGraph,
+    snapshot: ColumnarGraph,
     pattern: NodePattern,
     seed: SeedSpec | None,
     bindings: Mapping[str, object],
     parameters: Mapping[str, object] | None,
-) -> Iterator[Node]:
-    """The raw candidate-node source chosen by the seed spec (candidates
-    are still verified with :func:`_node_satisfies` afterwards)."""
+) -> Iterator[int]:
+    """Dense ids of the candidate start nodes the seed spec names
+    (candidates are still verified against the pattern afterwards)."""
     if seed is not None and seed.kind == "index":
-        from repro.cypher.evaluator import EvalContext, evaluate
-
         ctx = EvalContext(
             graph=graph, parameters=parameters or {},
             bindings=dict(bindings),
@@ -197,240 +328,308 @@ def _seed_source(
             value = evaluate(seed.value, ctx)
         except CypherError:
             value = None  # unevaluable now; fall back to the label scan
-        if value is not None and property_index_key(value) is not None:
-            return graph.nodes_where(seed.label, seed.key, value)
-        return graph.nodes(label=seed.label)
+        if value is not None:
+            index_key = property_index_key(value)
+            if index_key is not None:
+                return snapshot.index_candidates(
+                    seed.label, seed.key, index_key
+                )
+        return snapshot.label_candidates(seed.label)
     if seed is not None and seed.kind == "label":
-        return graph.nodes(label=seed.label)
+        return snapshot.label_candidates(seed.label)
     if seed is not None and seed.kind == "scan":
-        return graph.nodes()
-    # default: the pattern's first label index, else a full scan
+        return snapshot.all_candidates()
+    # unplanned: the pattern's first label index, else a full scan
     if pattern.labels:
-        return graph.nodes(label=pattern.labels[0])
-    return graph.nodes()
+        return snapshot.label_candidates(pattern.labels[0])
+    return snapshot.all_candidates()
 
 
-def _candidate_nodes(
-    graph: PropertyGraph,
-    pattern: NodePattern,
-    bindings: Mapping[str, object],
-    seed: SeedSpec | None = None,
-    parameters: Mapping[str, object] | None = None,
-    stats: MatchStats | None = None,
-) -> Iterator[Node]:
-    """Candidates for a node pattern, using the best index available."""
-    if pattern.variable and pattern.variable in bindings:
-        bound = bindings[pattern.variable]
-        if stats is not None:
-            stats.seeds += 1
-        if isinstance(bound, Node) and _node_satisfies(
-            graph, bound, pattern, bindings
-        ):
-            yield bound
-        return
-    for node in _seed_source(graph, pattern, seed, bindings, parameters):
-        if stats is not None:
-            stats.seeds += 1
-        if _node_satisfies(graph, node, pattern, bindings):
-            yield node
-
-
-def _expand(
-    graph: PropertyGraph,
-    node: Node,
+def _adjacent(
+    snapshot: ColumnarGraph,
+    nid: int,
     rel: RelPattern,
-    stats: MatchStats | None = None,
-) -> Iterator[tuple[Edge, Node]]:
-    """Edges leaving ``node`` that satisfy ``rel``'s direction and type,
-    paired with the node they lead to.
+    rel_tc: int | None,
+    stats: MatchStats | None,
+) -> Iterator[tuple[int, int]]:
+    """(edge, neighbour) dense-id frontier for one relationship step.
 
-    The type filter runs here, edge by edge over the full adjacency row
-    — ``stats.visits`` counts every row entry touched, which is the
-    honest cost this object-walking path pays and the CSR typed slices
-    avoid.
+    Each direction is one contiguous slice fetch; ``visits`` counts the
+    entries actually touched (for a typed slice, only matching edges).
     """
-    label_filter = rel.types[0] if len(rel.types) == 1 else None
+    if nid < 0:
+        return
     if rel.direction in ("out", "any"):
-        for edge in graph.out_edges(node.id):
+        if stats is not None:
+            stats.frontiers += 1
+        for pair in snapshot.adjacency(nid, rel_tc, True):
             if stats is not None:
                 stats.visits += 1
-            if label_filter is not None and edge.label != label_filter:
-                continue
-            yield edge, graph.node(edge.dst)
+            yield pair
     if rel.direction in ("in", "any"):
-        for edge in graph.in_edges(node.id):
+        if stats is not None:
+            stats.frontiers += 1
+        for pair in snapshot.adjacency(nid, rel_tc, False):
             if stats is not None:
                 stats.visits += 1
-            if label_filter is not None and edge.label != label_filter:
-                continue
-            yield edge, graph.node(edge.src)
+            yield pair
 
 
-def _match_path_elements(
+def _hops(
     graph: PropertyGraph,
-    elements: Sequence[object],
-    index: int,
-    current: Node,
-    bindings: dict[str, object],
-    used_edges: set[str],
-    trail: list[object],
-    checks: Checks,
+    snapshot: ColumnarGraph,
+    nid: int,
+    rel: RelPattern,
+    rel_tc: int | None,
+    bindings: Mapping[str, object],
+    used: bytearray,
     parameters: Mapping[str, object] | None,
     stats: MatchStats | None,
-) -> Iterator[tuple[dict[str, object], set[str], list[object]]]:
-    """Recursive DFS over one path's remaining (rel, node) element pairs.
+) -> Iterator[tuple[list[int], int]]:
+    """Walks of ``min_hops..max_hops`` unused edges from ``nid``, as
+    ``(edge ids, endpoint)``.
 
-    ``used_edges`` is shared and mutated in place: edges are added on
-    descent and discarded on backtrack, giving O(1) uniqueness checks.
-    At every yield point it holds exactly the edges of the partial match.
+    An iterated frontier DFS: ``frontiers[d]`` is the open adjacency
+    slice at depth ``d`` and ``walk`` the edges taken to reach it.  A
+    walk is yielded before its extensions, with its edges held in
+    ``used`` (and ``walk`` unchanged) until the caller resumes.
+    """
+    if rel.min_hops <= 0:
+        yield [], nid
+    if rel.max_hops <= 0:
+        return
+    walk: list[int] = []
+    frontiers = [_adjacent(snapshot, nid, rel, rel_tc, stats)]
+    while frontiers:
+        for eid, nbr in frontiers[-1]:
+            if stats is not None:
+                stats.expansions += 1
+            if used[eid >> 3] & (1 << (eid & 7)):
+                continue
+            if not _edge_satisfies(
+                graph, snapshot.edge_objs[eid], rel, bindings, parameters
+            ):
+                continue
+            break
+        else:
+            frontiers.pop()
+            if walk:
+                eid = walk.pop()
+                used[eid >> 3] &= 0xFF ^ (1 << (eid & 7))
+            continue
+        used[eid >> 3] |= 1 << (eid & 7)
+        walk.append(eid)
+        if len(walk) >= rel.min_hops:
+            yield walk, nbr
+        if len(walk) < rel.max_hops:
+            frontiers.append(_adjacent(snapshot, nbr, rel, rel_tc, stats))
+        else:
+            walk.pop()
+            used[eid >> 3] &= 0xFF ^ (1 << (eid & 7))
+
+
+def _walk(
+    graph: PropertyGraph,
+    snapshot: ColumnarGraph,
+    elements: Sequence[object],
+    index: int,
+    nid: int,
+    bindings: dict[str, object],
+    used: bytearray,
+    trail: list[object],
+    checks: Checks,
+    meta: Mapping[int, object],
+    parameters: Mapping[str, object] | None,
+    stats: MatchStats | None,
+) -> Iterator[tuple[dict[str, object], list[object]]]:
+    """DFS over the remaining (rel, node) element pairs, in dense ids.
+
+    Check order per edge: uniqueness, relationship filters, rel-bound
+    identity, node filters, node-bound identity, then pushed checks
+    (column prefix first — it is the leading run of the same conjunct
+    list).  ``trail[-1]`` is the node object the walk stands on.
     """
     if index >= len(elements):
-        yield bindings, used_edges, trail
+        yield bindings, trail
         return
 
     rel: RelPattern = elements[index]          # type: ignore[assignment]
-    next_node_pattern: NodePattern = elements[index + 1]  # type: ignore
+    next_pattern: NodePattern = elements[index + 1]  # type: ignore
+    rel_tc = meta[index]
+    codes, fast, rest = meta[index + 1]
+    node_bound = (
+        next_pattern.variable is not None
+        and next_pattern.variable in bindings
+    )
 
-    if not rel.is_variable_length:
-        for edge, neighbour in _expand(graph, current, rel, stats):
-            if stats is not None:
-                stats.expansions += 1
-            if edge.id in used_edges:
-                continue
-            if not _edge_satisfies(graph, edge, rel, bindings):
-                continue
-            if rel.variable and rel.variable in bindings:
-                bound = bindings[rel.variable]
-                if not isinstance(bound, Edge) or bound.id != edge.id:
+    if rel.is_variable_length:
+        for eids, end in _hops(
+            graph, snapshot, nid, rel, rel_tc, bindings, used,
+            parameters, stats,
+        ):
+            if eids:
+                if codes and not snapshot.has_labels(end, codes):
                     continue
-            if not _node_satisfies(graph, neighbour, next_node_pattern, bindings):
-                continue
-            if (
-                next_node_pattern.variable
-                and next_node_pattern.variable in bindings
-            ):
-                bound = bindings[next_node_pattern.variable]
-                if not isinstance(bound, Node) or bound.id != neighbour.id:
+                endpoint = snapshot.node_objs[end]
+                if next_pattern.properties and not _properties_match(
+                    graph, endpoint, next_pattern.properties, bindings,
+                    parameters,
+                ):
                     continue
+            else:
+                # zero hops end on the current node object, which may
+                # be a stale bound start the columns do not describe
+                endpoint = trail[-1]
+                if not _node_satisfies(
+                    graph, endpoint, next_pattern, bindings, parameters
+                ):
+                    continue
+            if node_bound:
+                bound = bindings[next_pattern.variable]
+                if not isinstance(bound, Node) or bound.id != endpoint.id:
+                    continue
+            if eids and fast and not _passes_columns(snapshot, end, fast):
+                continue
+            edges = [snapshot.edge_objs[eid] for eid in eids]
             new_bindings = dict(bindings)
             if rel.variable:
-                new_bindings[rel.variable] = edge
-            if next_node_pattern.variable:
-                new_bindings[next_node_pattern.variable] = neighbour
-            if not _checks_pass(
-                checks.get(index + 1), graph, new_bindings, parameters
+                new_bindings[rel.variable] = edges
+            if next_pattern.variable:
+                new_bindings[next_pattern.variable] = endpoint
+            pending = rest if eids else checks.get(index + 1)
+            if pending and not _checks_pass(
+                pending, graph, new_bindings, parameters
             ):
                 continue
-            used_edges.add(edge.id)
-            try:
-                yield from _match_path_elements(
-                    graph, elements, index + 2, neighbour,
-                    new_bindings, used_edges,
-                    trail + [edge, neighbour],
-                    checks, parameters, stats,
-                )
-            finally:
-                used_edges.discard(edge.id)
+            yield from _walk(
+                graph, snapshot, elements, index + 2, end,
+                new_bindings, used, trail + edges + [endpoint],
+                checks, meta, parameters, stats,
+            )
         return
 
-    # variable-length expansion: DFS up to max_hops, sharing the same
-    # mutable used-edge set (its edges are held while descending)
-    def walk(
-        node: Node,
-        hops: int,
-        edges_so_far: list[Edge],
-    ) -> Iterator[tuple[list[Edge], Node]]:
-        if hops >= rel.min_hops:
-            yield edges_so_far, node
-        if hops >= rel.max_hops:
-            return
-        for edge, neighbour in _expand(graph, node, rel, stats):
-            if stats is not None:
-                stats.expansions += 1
-            if edge.id in used_edges:
-                continue
-            if not _edge_satisfies(graph, edge, rel, bindings):
-                continue
-            used_edges.add(edge.id)
-            try:
-                yield from walk(neighbour, hops + 1, edges_so_far + [edge])
-            finally:
-                used_edges.discard(edge.id)
-
-    for edges, endpoint in walk(current, 0, []):
-        if not _node_satisfies(graph, endpoint, next_node_pattern, bindings):
+    rel_bound = rel.variable is not None and rel.variable in bindings
+    for eid, nbr in _adjacent(snapshot, nid, rel, rel_tc, stats):
+        if stats is not None:
+            stats.expansions += 1
+        if used[eid >> 3] & (1 << (eid & 7)):
             continue
-        if (
-            next_node_pattern.variable
-            and next_node_pattern.variable in bindings
-        ):
-            bound = bindings[next_node_pattern.variable]
-            if not isinstance(bound, Node) or bound.id != endpoint.id:
+        edge = snapshot.edge_objs[eid]
+        if not _edge_satisfies(graph, edge, rel, bindings, parameters):
+            continue
+        if rel_bound:
+            bound = bindings[rel.variable]
+            if not isinstance(bound, Edge) or bound.id != edge.id:
                 continue
+        if codes and not snapshot.has_labels(nbr, codes):
+            continue
+        neighbour = snapshot.node_objs[nbr]
+        if next_pattern.properties and not _properties_match(
+            graph, neighbour, next_pattern.properties, bindings, parameters
+        ):
+            continue
+        if node_bound:
+            bound = bindings[next_pattern.variable]
+            if not isinstance(bound, Node) or bound.id != neighbour.id:
+                continue
+        if fast and not _passes_columns(snapshot, nbr, fast):
+            continue
         new_bindings = dict(bindings)
         if rel.variable:
-            new_bindings[rel.variable] = list(edges)
-        if next_node_pattern.variable:
-            new_bindings[next_node_pattern.variable] = endpoint
-        if not _checks_pass(
-            checks.get(index + 1), graph, new_bindings, parameters
-        ):
+            new_bindings[rel.variable] = edge
+        if next_pattern.variable:
+            new_bindings[next_pattern.variable] = neighbour
+        if rest and not _checks_pass(rest, graph, new_bindings, parameters):
             continue
-        new_trail = list(trail)
-        for edge in edges:
-            new_trail.append(edge)
-        new_trail.append(endpoint)
-        # the walk generator is suspended here still holding its edges
-        # in used_edges, which is exactly the uniqueness state the rest
-        # of the path must see
-        yield from _match_path_elements(
-            graph, elements, index + 2, endpoint,
-            new_bindings, used_edges, new_trail,
-            checks, parameters, stats,
-        )
+        used[eid >> 3] |= 1 << (eid & 7)
+        try:
+            yield from _walk(
+                graph, snapshot, elements, index + 2, nbr,
+                new_bindings, used, trail + [edge, neighbour],
+                checks, meta, parameters, stats,
+            )
+        finally:
+            used[eid >> 3] &= 0xFF ^ (1 << (eid & 7))
 
 
-def match_path(
+def _path_matches(
     graph: PropertyGraph,
+    snapshot: ColumnarGraph,
     pattern: PathPattern,
     bindings: dict[str, object],
-    used_edges: set[str],
-    *,
-    seed: SeedSpec | None = None,
-    checks: Checks | None = None,
-    parameters: Mapping[str, object] | None = None,
-    stats: MatchStats | None = None,
-) -> Iterator[tuple[dict[str, object], set[str]]]:
-    """Yield all (bindings, used_edges) extensions matching one path.
-
-    ``used_edges`` is mutated in place during iteration and restored on
-    exhaustion; at each yield it holds the edges of the current match.
-    """
+    used: bytearray,
+    seed: SeedSpec | None,
+    checks: Checks,
+    meta: Mapping[int, object],
+    parameters: Mapping[str, object] | None,
+    stats: MatchStats | None,
+) -> Iterator[dict[str, object]]:
+    """All bindings extensions matching one path pattern."""
     if not pattern.elements:
         return
     first = pattern.elements[0]
     if not isinstance(first, NodePattern):
         raise CypherSemanticError("path pattern must start with a node")
-    checks = checks or {}
-    for start in _candidate_nodes(
-        graph, first, bindings, seed, parameters, stats
-    ):
-        start_bindings = dict(bindings)
-        if first.variable:
-            start_bindings[first.variable] = start
-        if not _checks_pass(checks.get(0), graph, start_bindings, parameters):
-            continue
-        for final_bindings, final_used, trail in _match_path_elements(
-            graph, pattern.elements, 1, start,
-            start_bindings, used_edges, [start],
-            checks, parameters, stats,
+
+    def finish(
+        start_bindings: dict[str, object], nid: int, start: Node
+    ) -> Iterator[dict[str, object]]:
+        for final_bindings, trail in _walk(
+            graph, snapshot, pattern.elements, 1, nid,
+            start_bindings, used, [start], checks, meta, parameters, stats,
         ):
             if pattern.variable:
                 final_bindings = dict(final_bindings)
                 final_bindings[pattern.variable] = Path(trail)
-            yield final_bindings, final_used
+            yield final_bindings
+
+    if first.variable is not None and first.variable in bindings:
+        # a bound start may be a stale object (rebound across write
+        # clauses); filters and checks must see *that* object, so the
+        # columns are not consulted here — only its adjacency is,
+        # resolved by id (absent ids expand to nothing, like the store)
+        bound = bindings[first.variable]
+        if stats is not None:
+            stats.seeds += 1
+        if not (
+            isinstance(bound, Node)
+            and _node_satisfies(graph, bound, first, bindings, parameters)
+        ):
+            return
+        start_bindings = dict(bindings)
+        start_bindings[first.variable] = bound
+        if not _checks_pass(checks.get(0), graph, start_bindings, parameters):
+            return
+        nid = snapshot.node_index.get(bound.id, -1)
+        yield from finish(start_bindings, nid, bound)
+        return
+
+    codes, fast, rest = meta[0]
+    for nid in _seed_nids(
+        graph, snapshot, first, seed, bindings, parameters
+    ):
+        if stats is not None:
+            stats.seeds += 1
+        if codes and not snapshot.has_labels(nid, codes):
+            continue
+        start = snapshot.node_objs[nid]
+        if first.properties and not _properties_match(
+            graph, start, first.properties, bindings, parameters
+        ):
+            continue
+        if fast and not _passes_columns(snapshot, nid, fast):
+            continue
+        start_bindings = dict(bindings)
+        if first.variable:
+            start_bindings[first.variable] = start
+        if rest and not _checks_pass(rest, graph, start_bindings, parameters):
+            continue
+        yield from finish(start_bindings, nid, start)
 
 
+# ----------------------------------------------------------------------
+# public entry points
+# ----------------------------------------------------------------------
 def match_patterns(
     graph: PropertyGraph,
     patterns: Sequence[PathPattern],
@@ -439,7 +638,6 @@ def match_patterns(
     plan: object | None = None,
     parameters: Mapping[str, object] | None = None,
     stats: MatchStats | None = None,
-    columnar: bool = True,
 ) -> Iterator[dict[str, object]]:
     """Match a comma-separated pattern list (one MATCH clause).
 
@@ -448,51 +646,29 @@ def match_patterns(
     object exposing ``steps`` of (pattern, seed, checks)), the planned
     pattern order, orientations, seeds and pushed-down checks are used
     instead of the written order; ``patterns`` is then ignored.
-
-    When the plan is marked columnar-eligible and the graph has the
-    columnar core enabled, the clause runs on the CSR frontier path
-    (:mod:`repro.cypher.csr_frontier`) — same rows, contiguous
-    adjacency.  ``columnar=False`` forces the legacy object walk.
     """
     if plan is not None:
-        steps = tuple(
-            (step.pattern, step.seed, step.checks) for step in plan.steps
-        )
-        if (
-            columnar
-            and getattr(plan, "columnar", False)
-            and getattr(graph, "columnar_enabled", False)
-        ):
-            snapshot = None
-            try:
-                snapshot = graph.columnar()
-            except Exception:
-                from repro import obs
-
-                obs.inc("matcher.csr.fallbacks")
-            if snapshot is not None:
-                from repro.cypher.csr_frontier import match_clause_csr
-
-                yield from match_clause_csr(
-                    graph, snapshot, steps, bindings,
-                    parameters=parameters, stats=stats,
-                )
-                return
+        steps = [(step.pattern, step.seed, step.checks) for step in plan.steps]
     else:
-        steps = tuple((pattern, None, None) for pattern in patterns)
-    used_edges: set[str] = set()
+        steps = [(pattern, None, None) for pattern in patterns]
+    snapshot = graph.columnar()
+    used = bytearray((len(snapshot.edge_ids) + 7) // 8 or 1)
+    prepared = [
+        (pattern, seed, checks or {},
+         _prepare_pattern(snapshot, pattern, checks or {}))
+        for pattern, seed, checks in steps
+    ]
 
     def recurse(
-        index: int,
-        current_bindings: dict[str, object],
+        index: int, current_bindings: dict[str, object]
     ) -> Iterator[dict[str, object]]:
-        if index >= len(steps):
+        if index >= len(prepared):
             yield current_bindings
             return
-        pattern, seed, checks = steps[index]
-        for new_bindings, _used in match_path(
-            graph, pattern, current_bindings, used_edges,
-            seed=seed, checks=checks, parameters=parameters, stats=stats,
+        pattern, seed, checks, meta = prepared[index]
+        for new_bindings in _path_matches(
+            graph, snapshot, pattern, current_bindings, used,
+            seed, checks, meta, parameters, stats,
         ):
             yield from recurse(index + 1, new_bindings)
 
@@ -503,8 +679,11 @@ def pattern_exists(
     graph: PropertyGraph,
     pattern: PathPattern,
     bindings: Mapping[str, object],
+    parameters: Mapping[str, object] | None = None,
 ) -> bool:
     """True if ``pattern`` has at least one match extending ``bindings``."""
-    for _match in match_path(graph, pattern, dict(bindings), set()):
+    for _match in match_patterns(
+        graph, (pattern,), dict(bindings), parameters=parameters
+    ):
         return True
     return False

@@ -17,10 +17,11 @@ count queries per mined rule, repeated across the experiment grid):
   bound.  Only conjuncts that are statically *safe* (cannot raise: they
   produce booleans or null for every possible value) are pushed; the
   rest stay in a residual evaluated after matching, preserving the
-  unplanned executor's ternary-logic results.  Because pruned rows skip
-  residual evaluation, a planned query may *suppress* a runtime error
-  the unplanned executor would have raised on a row that a pushed
-  predicate already rejected — standard cost-based-planner semantics;
+  ternary-logic results of applying the whole WHERE to each match.
+  Because pruned rows skip residual evaluation, a planned query may
+  *suppress* a runtime error the whole WHERE would have raised on a row
+  that a pushed predicate already rejected — standard
+  cost-based-planner semantics;
 * **plan caching** keyed on ``(canonical signature, graph
   fingerprint)``; the graph's mutation epoch invalidates plans on write.
 
@@ -101,18 +102,12 @@ class PlannedPattern:
 
 @dataclass
 class ClausePlan:
-    """Execution plan for one MATCH clause.
-
-    ``columnar`` marks the clause eligible for the CSR frontier path
-    (every pattern free of variable-length relationships); like the
-    rest of the plan it is advisory — both paths return identical rows.
-    """
+    """Execution plan for one MATCH clause."""
 
     steps: tuple[PlannedPattern, ...]
     prefilter: tuple[Expression, ...]
     residual: Optional[Expression]
     estimate: float
-    columnar: bool = False
 
 
 @dataclass
@@ -511,7 +506,6 @@ def _plan_match_clause(
     prefilter: list[Expression] = []
     pushable: list[tuple[Expression, frozenset[str]]] = []
     residual: list[Expression] = []
-    multi = len(conjuncts) > 1
     for conjunct in conjuncts:
         names: set[str] = set()
         # a lone conjunct can be any boolean-ish expression; inside an
@@ -526,7 +520,6 @@ def _plan_match_clause(
             pushable.append((conjunct, frozenset(names)))
         else:
             residual.append(conjunct)
-    del multi
 
     eq_candidates = _index_candidates(conjuncts)
 
@@ -608,14 +601,6 @@ def _plan_match_clause(
         prefilter=tuple(prefilter),
         residual=_combine_and(residual),
         estimate=total_rows,
-        columnar=all(
-            not (
-                isinstance(element, RelPattern)
-                and element.is_variable_length
-            )
-            for step in steps
-            for element in step.pattern.elements
-        ),
     )
 
 
@@ -825,14 +810,6 @@ def explain(
             lines.append(
                 f"+- {keyword} (clause {clause_index + 1}, "
                 f"estimated rows ~{clause_plan.estimate:.1f})"
-            )
-            columnar_active = clause_plan.columnar and getattr(
-                graph, "columnar_enabled", False
-            )
-            lines.append(
-                "|  path: columnar csr frontier"
-                if columnar_active
-                else "|  path: legacy object walk"
             )
             for conjunct in clause_plan.prefilter:
                 lines.append(

@@ -38,7 +38,6 @@ from repro.graph.statistics import (
     GraphCatalog,
     GraphStatistics,
     PropertySketch,
-    build_catalog,
     catalog_from_columnar,
     compute_statistics,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "PropertyGraph",
     "PropertyProfile",
     "PropertySketch",
-    "build_catalog",
     "build_graph",
     "catalog_from_columnar",
     "compact_deltas",

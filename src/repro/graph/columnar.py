@@ -11,10 +11,10 @@ plus the original :class:`~repro.graph.model.Node` / ``Edge`` objects per
 dense id), so public APIs keep returning the same objects as the store.
 
 Adjacency is kept twice per direction: ``eids`` in store insertion order
-(the exact order the legacy matcher observes) and ``typed_eids`` grouped
-by edge-type code with per-node segment offsets, so a single-type
-expansion is one contiguous slice with zero per-edge filtering while
-untyped expansion preserves legacy ordering bit-for-bit.
+(the order ``PropertyGraph.out_edges``/``in_edges`` yield) and
+``typed_eids`` grouped by edge-type code with per-node segment offsets,
+so a single-type expansion is one contiguous slice with zero per-edge
+filtering while untyped expansion keeps store order bit-for-bit.
 
 Snapshots are copy-on-write: :meth:`ColumnarGraph.apply_deltas` clones
 the container spine (C-level copies) and layers small mutations on top —
@@ -308,7 +308,7 @@ class ColumnarGraph:
         """(edge, neighbour) dense-id pairs leaving/entering ``nid``.
 
         ``type_code`` None iterates the full row in store insertion
-        order (the caller filters, mirroring the legacy matcher);
+        order (the caller filters by type);
         :data:`NO_TYPE` yields nothing; any other code walks exactly the
         contiguous typed slice.
         """

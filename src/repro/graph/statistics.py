@@ -4,19 +4,19 @@ Two consumers share this module:
 
 * :func:`compute_statistics` drives the paper's Table 1 (node/edge and
   label counts plus degree extremes);
-* :func:`build_catalog` produces the planner-grade
+* :func:`catalog_from_columnar` produces the planner-grade
   :class:`GraphCatalog` — per-label cardinalities, per-(label, property)
   distinct-value counts with most-common-value sketches, and per-edge-label
   fan-out/fan-in averages — that the cost-based query planner in
   :mod:`repro.cypher.planner` uses for cardinality estimation.
 
 The catalog is immutable; :meth:`repro.graph.store.PropertyGraph.catalog`
-caches one per mutation epoch so writes invalidate it automatically.
+derives one from the CSR snapshot per mutation epoch, so writes
+invalidate it automatically.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -211,63 +211,14 @@ class GraphCatalog:
         )
 
 
-def build_catalog(graph: PropertyGraph) -> GraphCatalog:
-    """Build the planner catalog in one pass over nodes and edges."""
-    label_counts = {
-        label: graph.node_count(label) for label in graph.node_labels()
-    }
-
-    value_counts: dict[tuple[str, str], Counter] = defaultdict(Counter)
-    for node in graph.nodes():
-        for key, value in node.properties.items():
-            index_key = property_index_key(value)
-            if index_key is None:
-                continue
-            for label in node.labels:
-                value_counts[(label, key)][index_key] += 1
-    sketches = {
-        pair: PropertySketch(
-            present=sum(counts.values()),
-            distinct=len(counts),
-            top=tuple(counts.most_common(MCV_WIDTH)),
-        )
-        for pair, counts in value_counts.items()
-    }
-
-    edge_sources: dict[str, set[str]] = defaultdict(set)
-    edge_targets: dict[str, set[str]] = defaultdict(set)
-    edge_counts: Counter = Counter()
-    for edge in graph.edges():
-        edge_counts[edge.label] += 1
-        edge_sources[edge.label].add(edge.src)
-        edge_targets[edge.label].add(edge.dst)
-    edge_stats = {
-        label: EdgeLabelStats(
-            count=count,
-            distinct_src=len(edge_sources[label]),
-            distinct_dst=len(edge_targets[label]),
-        )
-        for label, count in edge_counts.items()
-    }
-
-    return GraphCatalog(
-        node_count=graph.node_count(),
-        edge_count=graph.edge_count(),
-        label_counts=label_counts,
-        property_sketches=sketches,
-        edge_stats=edge_stats,
-    )
-
-
 def catalog_from_columnar(snapshot: "ColumnarGraph") -> GraphCatalog:
     """Derive the planner catalog from a columnar snapshot.
 
     The snapshot already maintains per-(label, key) value counters and
     per-edge-type endpoint counters, so this costs O(distinct values)
-    instead of :func:`build_catalog`'s O(nodes + edges) rescan.  The
-    counters are accumulated in node-insertion order, so MCV sketches
-    tie-break identically to the full rebuild on freshly compiled
-    snapshots.
+    instead of an O(nodes + edges) rescan.  On a freshly compiled
+    snapshot the counters are accumulated in node-insertion order, so
+    MCV sketches tie-break in insertion order.
     """
     label_counts = {
         snapshot.labels[code]: size

@@ -1,14 +1,16 @@
 """Indexed in-memory property-graph store.
 
 This is the reproduction's substitute for Neo4j: a directed multigraph with
-secondary indexes on node labels, edge labels, adjacency and — for the
-query planner — per-(label, property) hash indexes, sufficient to back the
-Cypher interpreter in :mod:`repro.cypher` with index-backed scans.
+secondary indexes on node labels, edge labels, adjacency and per-(label,
+property) hash indexes.  The Cypher interpreter in :mod:`repro.cypher`
+does not walk these objects: every MATCH runs on the int-id CSR snapshot
+that :meth:`PropertyGraph.columnar` compiles per mutation epoch, and the
+planner's statistics catalog is derived from that same snapshot.
 
 Mutation is node/edge-at-a-time (the study never needs transactions); all
 read paths return stable, deterministic orderings so that experiments are
 bit-for-bit reproducible.  Every mutation bumps a monotonic *epoch*, which
-the planner's statistics catalog and plan cache use for invalidation.
+the CSR snapshot, the catalog and the plan cache use for invalidation.
 """
 
 from __future__ import annotations
@@ -72,11 +74,8 @@ class PropertyGraph:
     """A directed property multigraph with label, adjacency and property
     indexes."""
 
-    def __init__(self, name: str = "graph", *, columnar: bool = True) -> None:
+    def __init__(self, name: str = "graph") -> None:
         self.name = name
-        #: escape hatch: ``columnar=False`` keeps every read on the
-        #: legacy dict-of-dicts paths (matcher, catalog) for this graph
-        self.columnar_enabled = columnar
         self._nodes: dict[str, Node] = {}
         self._edges: dict[str, Edge] = {}
         # label -> ordered set of node ids (dict used as ordered set)
@@ -182,19 +181,18 @@ class PropertyGraph:
         Small mutation batches since the cached snapshot are applied
         incrementally from the private change log; large batches, ring
         buffer loss, or any inconsistency fall back to a full recompile
-        (see :mod:`repro.graph.columnar`).  Mid-batch, or when the graph
-        was built with ``columnar=False``, an uncached throwaway
-        snapshot is compiled instead.
+        (see :mod:`repro.graph.columnar`).  Mid-batch, after a write, an
+        uncached throwaway snapshot is compiled instead, so a mid-batch
+        read sees the mid-batch contents.
         """
+        dirty = self._batch_depth and self._batch_dirty
+        cached = self._columnar_cache
+        if not dirty and cached is not None and cached.epoch == self._epoch:
+            return cached
         from repro.graph.columnar import compile_graph
 
-        if not self.columnar_enabled or (
-            self._batch_depth and self._batch_dirty
-        ):
+        if dirty:
             return compile_graph(self)
-        cached = self._columnar_cache
-        if cached is not None and cached.epoch == self._epoch:
-            return cached
         if self._columnar_log is None:
             self._columnar_log = GraphChangeLog().attach(self)
         log = self._columnar_log
@@ -225,7 +223,7 @@ class PropertyGraph:
         skips compilation entirely."""
         snapshot.graph_token, snapshot.epoch = self.fingerprint()
         self._columnar_cache = snapshot
-        if self.columnar_enabled and self._columnar_log is None:
+        if self._columnar_log is None:
             self._columnar_log = GraphChangeLog().attach(self)
 
     def invalidate_columnar(self) -> None:
@@ -245,31 +243,21 @@ class PropertyGraph:
     def catalog(self) -> "GraphCatalog":
         """The planner-grade statistics catalog, cached per epoch.
 
-        With the columnar core enabled the catalog is derived from the
-        CSR snapshot's interned counters in O(distinct values) — and
-        when that snapshot was itself maintained incrementally from the
-        change log, so was the catalog, replacing the O(graph) rescan
-        watch mode used to trigger on every debounce tick.
+        Derived from the CSR snapshot's interned counters in
+        O(distinct values), mid-batch included — and when that snapshot
+        was itself maintained incrementally from the change log, so was
+        the catalog, so a watch-mode debounce tick never rescans the
+        graph.
         """
         cached = self._catalog_cache
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
-        if self.columnar_enabled and not self._batch_depth:
-            from repro.graph.statistics import catalog_from_columnar
+        from repro.graph.statistics import catalog_from_columnar
 
-            try:
-                snapshot = self.columnar()
-            except Exception:
-                snapshot = None  # legacy rescan below
-            if snapshot is not None:
-                catalog = catalog_from_columnar(snapshot)
-                if snapshot.origin == "incremental":
-                    _metric_inc("graph.catalog.incremental_updates")
-                self._catalog_cache = (self._epoch, catalog)
-                return catalog
-        from repro.graph.statistics import build_catalog
-
-        catalog = build_catalog(self)
+        snapshot = self.columnar()
+        catalog = catalog_from_columnar(snapshot)
+        if snapshot.origin == "incremental":
+            _metric_inc("graph.catalog.incremental_updates")
         self._catalog_cache = (self._epoch, catalog)
         return catalog
 

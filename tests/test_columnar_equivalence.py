@@ -1,27 +1,29 @@
-"""Columnar CSR matcher vs legacy object-walk equivalence (hypothesis).
+"""CSR matcher vs the naive reference matcher (hypothesis).
 
-The columnar path (`Executor(graph)` with the default ``columnar=True``)
-interns labels into codes, walks CSR adjacency slices and evaluates
-pushed-down prefilters against property columns — none of which may
-change the *result*: for every randomized graph and every query in the
-corpus, the columnar executor must produce exactly the same row multiset
-as the legacy matcher (``columnar=False``), and raise the same error on
-queries that raise.
+The matcher interns labels into codes, walks CSR adjacency slices and
+evaluates pushed-down prefilters against property columns — none of
+which may change the *result*: for every randomized graph and every
+query in the corpus, ``Executor(graph)`` must produce exactly the same
+row multiset as the brute-force reference in
+``tests/reference_matcher.py``, and raise the same error on queries
+that raise.
 
 Graphs here extend the planner-equivalence strategy with unicode string
 properties, explicit ``None`` property values, self-loops and parallel
-edges; queries reuse the full 20-query planner corpus plus columnar
-stress queries (column-pushable equality on unicode values, IS NULL on a
-stored-None column, and type-error-raising comparisons).
+edges; queries reuse the full planner corpus plus columnar stress
+queries (column-pushable equality on unicode values, IS NULL on a
+stored-None column, and comparisons that raise a type error).
 """
 
 from collections import Counter
+from contextlib import nullcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cypher import CypherError, Executor, clear_plan_caches, parse
 from repro.graph import PropertyGraph
+from tests.reference_matcher import reference_engine
 from tests.test_planner_equivalence import (
     _LABEL_SETS,
     QUERY_CORPUS,
@@ -97,25 +99,36 @@ COLUMNAR_EXTRAS = (
 
 ALL_QUERIES = QUERY_CORPUS + COLUMNAR_EXTRAS
 
-# queries that raise CypherTypeError whenever a row reaches the
-# comparison with incompatible non-null operands; both matchers must
-# agree on whether (and with what) each graph raises
+# queries that mix incompatible operand types; the last three raise
+# CypherTypeError whenever a matched row reaches the arithmetic with a
+# string and a number, so both matchers must agree on whether (and with
+# what) each graph raises
 ERROR_QUERIES = (
     "MATCH (a) WHERE a.p < a.u RETURN a.p AS p",
     "MATCH (a)-[:R]->(b) WHERE a.u <= b.p RETURN a.p AS p",
     "MATCH (a) WHERE a.u + 1 = 2 RETURN a.u AS u",
+    "MATCH (a:A) WHERE a.u - 1 = 2 RETURN a.u AS u",
+    "MATCH (a)-[:S]->(b) WHERE b.u - a.p = 0 RETURN a.p AS p",
+    "MATCH (a)-[:R*1..2]->(b) WHERE b.u - a.p = 0 RETURN a.p AS p",
 )
 
 
-def _outcome(graph, query_text, *, columnar):
+def _outcome(graph, query_text, parameters=None, *, reference):
     """Run one query; normalise result rows or the raised error."""
     clear_plan_caches()
     query = parse(query_text)
     try:
-        result = Executor(graph, columnar=columnar).run(query)
+        with reference_engine() if reference else nullcontext():
+            result = Executor(graph, parameters).run(query)
     except CypherError as error:
         return ("error", type(error).__name__, str(error))
     return ("ok", tuple(result.columns), row_multiset(result))
+
+
+def _agree(graph, query_text, parameters=None):
+    assert _outcome(
+        graph, query_text, parameters, reference=False
+    ) == _outcome(graph, query_text, parameters, reference=True)
 
 
 # ----------------------------------------------------------------------
@@ -124,21 +137,13 @@ def _outcome(graph, query_text, *, columnar):
 @given(spec=rich_graphs(), query_index=st.integers(0, len(ALL_QUERIES) - 1))
 @settings(max_examples=250, deadline=None)
 def test_columnar_equals_legacy(spec, query_index):
-    graph = build_rich(spec)
-    query_text = ALL_QUERIES[query_index]
-    assert _outcome(graph, query_text, columnar=True) == _outcome(
-        graph, query_text, columnar=False
-    )
+    _agree(build_rich(spec), ALL_QUERIES[query_index])
 
 
 @given(spec=rich_graphs(), query_index=st.integers(0, len(ERROR_QUERIES) - 1))
 @settings(max_examples=120, deadline=None)
 def test_columnar_error_semantics_match(spec, query_index):
-    graph = build_rich(spec)
-    query_text = ERROR_QUERIES[query_index]
-    assert _outcome(graph, query_text, columnar=True) == _outcome(
-        graph, query_text, columnar=False
-    )
+    _agree(build_rich(spec), ERROR_QUERIES[query_index])
 
 
 @given(spec=rich_graphs(), query_index=st.integers(0, len(ALL_QUERIES) - 1))
@@ -156,31 +161,20 @@ def test_columnar_equals_legacy_after_mutation(spec, query_index):
         graph.remove_edge(edges[0][0])
     snapshot = graph.columnar()
     assert snapshot.origin in ("incremental", "full")
-    query_text = ALL_QUERIES[query_index]
-    assert _outcome(graph, query_text, columnar=True) == _outcome(
-        graph, query_text, columnar=False
-    )
+    _agree(graph, ALL_QUERIES[query_index])
 
 
 @given(spec=rich_graphs(), value=st.sampled_from(_UNICODE))
 @settings(max_examples=60, deadline=None)
 def test_columnar_parameterized_unicode(spec, value):
-    clear_plan_caches()
-    graph = build_rich(spec)
-    query = parse("MATCH (a) WHERE a.u = $v RETURN a.u AS u")
-    parameters = {"v": value}
-    fast = Executor(graph, parameters, columnar=True).run(query)
-    slow = Executor(graph, parameters, columnar=False).run(query)
-    assert row_multiset(fast) == row_multiset(slow)
+    _agree(
+        build_rich(spec), "MATCH (a) WHERE a.u = $v RETURN a.u AS u",
+        {"v": value},
+    )
 
 
 @given(spec=rich_graphs())
 @settings(max_examples=40, deadline=None)
 def test_columnar_self_loop_var_length(spec):
-    """Var-length patterns plan as legacy even with columnar on."""
-    clear_plan_caches()
-    graph = build_rich(spec)
-    query = parse("MATCH (a)-[:R*1..3]->(a) RETURN a.p AS p")
-    fast = Executor(graph, columnar=True).run(query)
-    slow = Executor(graph, columnar=False).run(query)
-    assert row_multiset(fast) == row_multiset(slow)
+    """A var-length walk joining back to its own start node."""
+    _agree(build_rich(spec), "MATCH (a)-[:R*1..3]->(a) RETURN a.p AS p")

@@ -197,3 +197,12 @@ class TestPatternPredicates:
             "RETURN u.name AS n",
         )
         assert result.values() == ["bob"]
+
+    def test_pattern_property_map_reads_parameters(self, social_graph):
+        result = execute(
+            social_graph,
+            "MATCH (u:User) WHERE (u)-[:POSTS]->(:Tweet {id: $id}) "
+            "RETURN u.name AS n",
+            parameters={"id": 12},
+        )
+        assert result.values() == ["alice"]

@@ -3,13 +3,17 @@
 Covers the full stack it sits on: property indexes and epochs on the
 store, catalog estimates, seed selection, join ordering, predicate
 pushdown safety, the plan cache, EXPLAIN rendering and the executor's
-escape hatch.
+written-order fallbacks.  Planned results are checked against the naive
+reference matcher in ``tests/reference_matcher.py``.
 """
+
+import dataclasses
 
 import pytest
 
 from repro import obs
 from repro.cypher import (
+    CypherError,
     Executor,
     clear_plan_caches,
     default_planner,
@@ -21,6 +25,7 @@ from repro.cypher.matcher import MatchStats, match_patterns
 from repro.cypher.planner import PlanCache, QueryPlanner
 from repro.graph import PropertyGraph
 from repro.graph.store import property_index_key
+from tests.reference_matcher import reference_engine
 
 
 @pytest.fixture(autouse=True)
@@ -44,10 +49,11 @@ def team_graph(people=40, teams=4):
 
 
 def run_both(graph, text, parameters=None):
-    """(planned rows, unplanned rows) for one query text."""
+    """(planned rows, reference rows) for one query text."""
     query = parse(text)
     planned = Executor(graph, parameters).run(query)
-    unplanned = Executor(graph, parameters, planner=None).run(query)
+    with reference_engine():
+        unplanned = Executor(graph, parameters).run(query)
     return planned, unplanned
 
 
@@ -340,21 +346,62 @@ class TestPlannedExecution:
         assert planned.rows == unplanned.rows
 
     def test_raising_where_still_raises(self):
-        from repro.cypher.errors import CypherError
-
         g = team_graph()
         text = "MATCH (p:Person) WHERE p.age / 0 > 1 RETURN p"
         with pytest.raises(CypherError):
             Executor(g).run(parse(text))
-        with pytest.raises(CypherError):
-            Executor(g, planner=None).run(parse(text))
+        with pytest.raises(CypherError), reference_engine():
+            Executor(g).run(parse(text))
 
-    def test_escape_hatch_disables_planning(self):
+    def test_planner_error_falls_back_to_written_order(self, monkeypatch):
+        def broken(self, query, graph):
+            raise RuntimeError("planner bug")
+
+        monkeypatch.setattr(QueryPlanner, "plan", broken)
         g = team_graph()
-        executor = Executor(g, planner=None)
-        assert executor.planner is None
-        result = executor.run(parse("MATCH (p:Person) RETURN count(*) AS c"))
-        assert result.scalar() == 40
+        collector = obs.install()
+        try:
+            result = Executor(g).run(parse(
+                "MATCH (p:Person)-[:MEMBER_OF]->(t:Team) "
+                "WHERE p.age = 22 RETURN count(*) AS c"
+            ))
+            errors = collector.metrics.counter("planner.errors").total()
+            frontiers = collector.metrics.counter(
+                "matcher.csr.frontier_expansions"
+            ).total()
+        finally:
+            obs.uninstall()
+        assert result.scalar() == 8
+        assert errors == 1
+        assert frontiers == 40          # one slice per Person, unseeded
+
+    def test_raising_prefilter_falls_back_to_written_order(
+        self, monkeypatch
+    ):
+        # a prefilter that raises on the input row hands the clause to
+        # the written-order walk, which applies the full WHERE to each
+        # match: the error surfaces only when some row matches
+        plan = QueryPlanner.plan
+
+        def raising_prefilter(self, query, graph):
+            planned = plan(self, query, graph)
+            where = query.clauses[0].where
+            return dataclasses.replace(planned, clause_plans={
+                key: dataclasses.replace(
+                    clause_plan, prefilter=(where,), residual=None
+                )
+                for key, clause_plan in planned.clause_plans.items()
+            })
+
+        monkeypatch.setattr(QueryPlanner, "plan", raising_prefilter)
+        g = team_graph()
+        query = parse(
+            "MATCH (p:Person {name: $n}) WHERE p.age / 0 = 1 "
+            "RETURN p.name AS n"
+        )
+        with pytest.raises(CypherError, match="division by zero"):
+            Executor(g, {"n": "name2"}).run(query)
+        assert Executor(g, {"n": "nobody"}).run(query).rows == []
 
     def test_planner_counters_emitted(self):
         collector = obs.install()

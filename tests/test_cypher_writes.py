@@ -86,6 +86,14 @@ class TestMerge:
         execute(graph, "MERGE (u:User {id: 99})")
         assert graph.node_count("User") == 3
 
+    def test_merge_property_map_reads_parameters(self, graph):
+        result = execute(
+            graph, "MERGE (u:User {id: $id}) RETURN u.name AS n",
+            parameters={"id": 2},
+        )
+        assert result.rows == [{"n": "bob"}]
+        assert graph.node_count("User") == 2
+
     def test_merge_path(self, graph):
         # the FOLLOWS edge exists: nothing created
         execute(

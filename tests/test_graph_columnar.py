@@ -2,28 +2,36 @@
 
 Covers compilation parity against the object store, epoch caching,
 incremental maintenance from the change log (including the fallback to
-a full recompile when the delta budget is blown), catalog derivation,
-the checksummed wire artifact, the ``columnar=False`` escape hatch, the
-O(1) ``order()``/``size()`` accessors and the EXPLAIN path line.
+a full recompile when the delta budget is blown), catalog derivation
+(checked against a plain rescan kept here), the checksummed wire
+artifact, the O(1) ``order()``/``size()`` accessors, the matcher
+counters of the CSR walk and EXPLAIN over a variable-length clause.
 """
 
 import json
+from collections import Counter, defaultdict
 
 import pytest
 
 from repro import obs
-from repro.cypher import Executor, clear_plan_caches, explain, parse
+from repro.cypher import Executor, clear_plan_caches, execute, explain, parse
 from repro.graph import (
     ColumnarArtifactError,
     PropertyGraph,
     compile_graph,
 )
 from repro.graph.columnar import from_payload, to_payload
-from repro.graph.statistics import build_catalog
+from repro.graph.statistics import (
+    MCV_WIDTH,
+    EdgeLabelStats,
+    GraphCatalog,
+    PropertySketch,
+)
+from repro.graph.store import property_index_key
 
 
-def sample_graph(*, columnar: bool = True) -> PropertyGraph:
-    graph = PropertyGraph("csr-sample", columnar=columnar)
+def sample_graph() -> PropertyGraph:
+    graph = PropertyGraph("csr-sample")
     graph.add_node("a", "User", {"id": 1, "name": "alice"})
     graph.add_node("b", "User", {"id": 2, "name": "bob"})
     graph.add_node("c", ("User", "Admin"), {"id": 3})
@@ -45,6 +53,47 @@ def collector():
 
 def counter(collector, name: str) -> float:
     return collector.metrics.counter(name).value()
+
+
+def rescan_catalog(graph) -> GraphCatalog:
+    """The planner catalog rebuilt by one pass over the store's objects,
+    the independent side of the catalog comparisons below."""
+    value_counts: dict = defaultdict(Counter)
+    for node in graph.nodes():
+        for key, value in node.properties.items():
+            index_key = property_index_key(value)
+            if index_key is None:
+                continue
+            for label in node.labels:
+                value_counts[(label, key)][index_key] += 1
+    sources: dict = defaultdict(set)
+    targets: dict = defaultdict(set)
+    for edge in graph.edges():
+        sources[edge.label].add(edge.src)
+        targets[edge.label].add(edge.dst)
+    return GraphCatalog(
+        node_count=graph.node_count(),
+        edge_count=graph.edge_count(),
+        label_counts={
+            label: graph.node_count(label) for label in graph.node_labels()
+        },
+        property_sketches={
+            pair: PropertySketch(
+                present=sum(counts.values()),
+                distinct=len(counts),
+                top=tuple(counts.most_common(MCV_WIDTH)),
+            )
+            for pair, counts in value_counts.items()
+        },
+        edge_stats={
+            label: EdgeLabelStats(
+                count=graph.edge_count(label),
+                distinct_src=len(sources[label]),
+                distinct_dst=len(targets[label]),
+            )
+            for label in sources
+        },
+    )
 
 
 def assert_snapshot_matches_store(snapshot, graph) -> None:
@@ -188,7 +237,7 @@ class TestCatalog:
     def test_catalog_matches_legacy_rescan(self):
         graph = sample_graph()
         columnar = graph.catalog()
-        legacy = build_catalog(graph)
+        legacy = rescan_catalog(graph)
         assert columnar.node_count == legacy.node_count
         assert columnar.edge_count == legacy.edge_count
         assert columnar.label_counts == legacy.label_counts
@@ -211,7 +260,7 @@ class TestCatalog:
         assert counter(
             collector, "graph.catalog.incremental_updates"
         ) == 1
-        legacy = build_catalog(graph)
+        legacy = rescan_catalog(graph)
         assert updated.label_counts == legacy.label_counts
         assert updated.edge_stats == legacy.edge_stats
         assert updated.node_count == legacy.node_count
@@ -291,51 +340,37 @@ class TestArtifact:
         assert target.columnar().origin == "incremental"
 
 
-class TestEscapeHatch:
-    def test_columnar_disabled_graph_compiles_throwaway(self):
-        graph = sample_graph(columnar=False)
-        assert graph.columnar_enabled is False
-        first = graph.columnar()
-        second = graph.columnar()
-        assert first is not second                # never cached
-        assert_snapshot_matches_store(first, graph)
-
-    def test_executor_escape_hatch_uses_legacy_matcher(self, collector):
+class TestCsrWalk:
+    def test_var_length_match_expands_csr_frontiers(self, collector):
         graph = sample_graph()
         clear_plan_caches()
-        query = parse("MATCH (a:User)-[:FOLLOWS]->(b) RETURN count(*) AS c")
-        fast = Executor(graph, columnar=True).run(query)
+        result = Executor(graph).run(parse(
+            "MATCH (a:User {id: 1})-[:FOLLOWS*1..2]->(b) RETURN count(*) AS c"
+        ))
+        # a->b, a->c, a->b->a, and a->c->c over the self-loop
+        assert result.scalar() == 4
         assert counter(collector, "matcher.csr.frontier_expansions") > 0
-        before = counter(collector, "matcher.csr.frontier_expansions")
-        slow = Executor(graph, columnar=False).run(query)
-        assert counter(
-            collector, "matcher.csr.frontier_expansions"
-        ) == before                               # legacy path: no frontiers
-        assert fast.rows == slow.rows
+
+    def test_pattern_predicates_and_merge_record_no_matcher_stats(
+        self, collector
+    ):
+        graph = sample_graph()
+        merged = execute(graph, "MERGE (u:User {id: $id})", {"id": 2})
+        assert merged.stats == {}                 # matched, nothing created
+        found = execute(graph, "RETURN (:User)-[:POSTS]->(:Tweet) AS e")
+        assert found.scalar() is True
+        for name in ("matcher.seeds", "matcher.expansions",
+                     "matcher.visits", "matcher.csr.frontier_expansions"):
+            assert counter(collector, name) == 0
 
 
 class TestExplain:
-    def test_explain_reports_columnar_path(self):
-        graph = sample_graph()
-        clear_plan_caches()
-        text = explain(
-            parse("MATCH (a:User)-[:FOLLOWS]->(b) RETURN a.id AS i"), graph
-        )
-        assert "path: columnar csr frontier" in text
-
-    def test_explain_reports_legacy_for_var_length(self):
+    def test_explain_renders_var_length_clause(self):
         graph = sample_graph()
         clear_plan_caches()
         text = explain(
             parse("MATCH (a)-[:FOLLOWS*1..2]->(b) RETURN count(*) AS c"),
             graph,
         )
-        assert "path: legacy object walk" in text
-
-    def test_explain_reports_legacy_when_disabled(self):
-        graph = sample_graph(columnar=False)
-        clear_plan_caches()
-        text = explain(
-            parse("MATCH (a:User)-[:FOLLOWS]->(b) RETURN a.id AS i"), graph
-        )
-        assert "path: legacy object walk" in text
+        assert "step 1: (a)-[:FOLLOWS*1..2]->(b)" in text
+        assert "path:" not in text

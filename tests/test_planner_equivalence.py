@@ -1,18 +1,20 @@
-"""Planner-on vs planner-off equivalence (hypothesis).
+"""Planned executor vs the naive reference matcher (hypothesis).
 
 The cost-based planner reorders patterns, reverses traversals, seeds
 from property indexes and pushes predicates into the matcher — none of
 which may change the *result*: for every graph and every query in the
 corpus, the planned executor must produce exactly the same row multiset
-as the unplanned one.
+as the brute-force, written-order reference in
+``tests/reference_matcher.py``.
 
 Graphs are randomized and small (self-loops, parallel edges and
 multi-label nodes included); queries cover index seeds, join-backs,
-variable-length paths, named paths, OPTIONAL MATCH, undirected
-relationships, multi-pattern joins and parameters.  The corpus sticks
-to WHERE predicates that cannot raise on these graphs, since the
-planner intentionally keeps legacy error *timing* only for rows it
-does not prune.
+variable-length paths (zero hops, undirected, multi-type, named, joined
+back to a bound endpoint), named paths, OPTIONAL MATCH, undirected
+relationships, multi-pattern joins, pattern predicates and parameters.
+The corpus sticks to WHERE predicates that cannot raise on these
+graphs, since the planner keeps unplanned error *timing* only for rows
+it does not prune.
 """
 
 from collections import Counter
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from repro.cypher import Executor, clear_plan_caches, parse
 from repro.cypher.executor import _canonical
 from repro.graph import PropertyGraph
+from tests.reference_matcher import reference_engine
 
 # ----------------------------------------------------------------------
 # graph strategy
@@ -107,6 +110,21 @@ QUERY_CORPUS = (
     # UNION with independently planned branches
     "MATCH (a:A {p: 1}) RETURN a.p AS v "
     "UNION MATCH (b:B {p: 2}) RETURN b.p AS v",
+    # variable-length with zero hops allowed (a zero-hop row needs a
+    # node labelled both A and B)
+    "MATCH (a:A)-[r:R*0..2]->(b:B) RETURN a.p AS x, size(r) AS hops, "
+    "b.p AS y",
+    # undirected variable-length
+    "MATCH (a)-[:R*1..3]-(b:B) RETURN a.p AS x, b.p AS y",
+    # multi-type variable-length
+    "MATCH (a)-[:R|S*1..2]->(b) WHERE b.q = true RETURN a.p AS x",
+    # named path over a variable-length hop
+    "MATCH q = (a:B)-[:S*1..2]->(b) RETURN q AS q",
+    # variable-length join-back to an endpoint bound by an earlier MATCH
+    "MATCH (a:A)-[:S]->(b) MATCH (a)-[:R*1..3]->(b) "
+    "RETURN a.p AS x, b.p AS y",
+    # pattern predicate
+    "MATCH (a:A) WHERE NOT (a)-[:S]->(:B) RETURN a.p AS p",
 )
 
 
@@ -127,20 +145,32 @@ def test_planned_equals_unplanned(spec, query_index):
     graph = build(spec)
     query = parse(QUERY_CORPUS[query_index])
     planned = Executor(graph).run(query)
-    unplanned = Executor(graph, planner=None).run(query)
+    with reference_engine():
+        unplanned = Executor(graph).run(query)
     assert planned.columns == unplanned.columns
     assert row_multiset(planned) == row_multiset(unplanned)
 
 
-@given(spec=graphs(), value=st.integers(min_value=0, max_value=3))
+PARAMETERIZED_QUERIES = (
+    "MATCH (a:A) WHERE a.p = $v RETURN a.p AS p",
+    "MATCH (a:A {p: $v}) RETURN a.p AS p",
+)
+
+
+@given(
+    spec=graphs(),
+    value=st.integers(min_value=0, max_value=3),
+    query_text=st.sampled_from(PARAMETERIZED_QUERIES),
+)
 @settings(max_examples=60, deadline=None)
-def test_parameterized_query_equivalent(spec, value):
+def test_parameterized_query_equivalent(spec, value, query_text):
     clear_plan_caches()
     graph = build(spec)
-    query = parse("MATCH (a:A) WHERE a.p = $v RETURN a.p AS p")
+    query = parse(query_text)
     parameters = {"v": value}
     planned = Executor(graph, parameters).run(query)
-    unplanned = Executor(graph, parameters, planner=None).run(query)
+    with reference_engine():
+        unplanned = Executor(graph, parameters).run(query)
     assert row_multiset(planned) == row_multiset(unplanned)
 
 
@@ -153,5 +183,6 @@ def test_plan_cache_round_trip_equivalent(spec):
     query = parse("MATCH (a:A)-[:R]->(b) WHERE a.p >= 1 RETURN b.p AS y")
     Executor(graph).run(query)                       # populate the cache
     planned = Executor(graph).run(query)             # cache hit
-    unplanned = Executor(graph, planner=None).run(query)
+    with reference_engine():
+        unplanned = Executor(graph).run(query)
     assert row_multiset(planned) == row_multiset(unplanned)
