@@ -13,10 +13,9 @@ Usage::
     repro-experiments table5 --obs  # plus observability summary
     repro-experiments table5 --trace-out trace.jsonl
 
-    # run a grid slice through the job service (workers + disk cache)
-    repro-experiments serve --jobs 4 --cache-dir ~/.repro-cache
+    # run a grid slice, cell by cell, through the on-disk result cache
+    repro-experiments serve --cache-dir ~/.repro-cache
     repro-experiments serve --datasets wwc2019 --methods rag --obs
-    repro-experiments serve --telemetry-port 9100   # live /metrics
 
     # serve mining over HTTP: worker processes + admission control
     repro-experiments serve --port 8080 --workers 4 \\
@@ -39,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from repro import obs
@@ -99,7 +99,7 @@ def emit(target: str, runner: ExperimentRunner) -> str:
 
 
 # ----------------------------------------------------------------------
-# serve: grid cells as service jobs, or the HTTP gateway front door
+# serve: grid cells as cached jobs, or the HTTP gateway front door
 # ----------------------------------------------------------------------
 def _serve_gateway(args: argparse.Namespace) -> int:
     """Run the HTTP front door until SIGTERM/SIGINT, then drain."""
@@ -188,17 +188,85 @@ def _serve_gateway(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def serve_main(argv: list[str]) -> int:
-    """Run a grid slice through :class:`repro.service.MiningService`."""
-    from repro.service import JobFailedError, MiningService, RetryPolicy
+def _serve_grid(args: argparse.Namespace) -> int:
+    """Run a grid slice cell by cell through one :class:`JobRunner`."""
+    from repro.service import JobRunner, JobSpec, ResultCache, RetryPolicy
 
+    collector = None
+    if args.obs or args.trace_out:
+        collector = obs.install()
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    runner = JobRunner(
+        cache=cache, retry_policy=RetryPolicy(max_retries=args.max_retries),
+    )
+    cells = itertools.product(
+        args.datasets or DATASET_NAMES, args.prompts or PROMPT_MODES,
+        args.methods or METHODS, args.models or MODEL_NAMES,
+    )
+    done = failed = hits = retries = 0
+    try:
+        with obs.span("serve.grid"):
+            for dataset, prompt_mode, method, model in cells:
+                spec = JobSpec(
+                    dataset, model, method, prompt_mode, base_seed=args.seed,
+                )
+                cell = "/".join(spec.cell())
+                try:
+                    result = runner.run(spec)
+                except Exception as error:
+                    failed += 1
+                    print(
+                        f"{runner.job_id(spec)[:12]}  {cell:<45} failed    "
+                        f"{type(error).__name__}: {error}"
+                    )
+                    continue
+                done += 1
+                hits += result.cache_hit
+                retries += result.retries
+                source = "cache" if result.cache_hit else "mined"
+                print(
+                    f"{result.job_id[:12]}  {cell:<45} done      "
+                    f"{source:<6} attempts={result.attempts}"
+                )
+        print()
+        print(
+            f"grid: {done + failed} jobs ({done} done, {failed} failed), "
+            f"{hits} cache hits, {retries} retries"
+        )
+        if cache is not None:
+            stats = cache.stats
+            print(
+                f"cache: {stats.hits} hits / {stats.misses} misses "
+                f"({stats.hit_rate:.0%} hit rate), {stats.stores} stores"
+            )
+        if collector is not None:
+            print()
+            print(obs.summary_table(collector))
+            if args.trace_out:
+                try:
+                    obs.write_jsonl(collector, args.trace_out)
+                except OSError as error:
+                    print(
+                        f"cannot write trace to {args.trace_out}: {error}",
+                        file=sys.stderr,
+                    )
+                    return 1
+                print(f"trace written to {args.trace_out}")
+    finally:
+        if collector is not None:
+            obs.uninstall()
+    return 1 if failed else 0
+
+
+def serve_main(argv: list[str]) -> int:
+    """Run a grid slice, or serve mining over HTTP with ``--port``."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments serve",
         description=(
-            "Mine a grid slice through the in-process job service "
-            "(worker pool, retry/backoff, on-disk result cache keyed "
-            "by graph + code + config) — or, with --port, serve mining "
-            "over HTTP through the multi-process gateway front door."
+            "Mine a grid slice cell by cell (retry/backoff, on-disk "
+            "result cache keyed by graph + code + config) — or, with "
+            "--port, serve mining over HTTP through the multi-process "
+            "gateway front door."
         ),
     )
     parser.add_argument(
@@ -216,10 +284,6 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument(
         "--prompts", nargs="+", choices=PROMPT_MODES, default=None,
         help="prompt modes (default: both)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="worker threads executing jobs (default 2)",
     )
     parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
@@ -240,14 +304,6 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write the JSONL span/metric trace to PATH (implies --obs)",
-    )
-    parser.add_argument(
-        "--telemetry-port", type=int, default=None, metavar="PORT",
-        help=(
-            "serve live telemetry on 127.0.0.1:PORT while the grid "
-            "runs: /metrics (Prometheus), /healthz, /jobs "
-            "(0 = ephemeral port; implies --obs)"
-        ),
     )
     gateway_group = parser.add_argument_group(
         "gateway mode (HTTP front door; activated by --port)"
@@ -314,83 +370,7 @@ def serve_main(argv: list[str]) -> int:
 
     if args.port is not None:
         return _serve_gateway(args)
-
-    collector = None
-    if args.obs or args.trace_out or args.telemetry_port is not None:
-        collector = obs.install()
-    telemetry = None
-    failed = 0
-    try:
-        service = MiningService(
-            cache_dir=args.cache_dir,
-            workers=args.jobs,
-            retry_policy=RetryPolicy(max_retries=args.max_retries),
-            base_seed=args.seed,
-        )
-        if args.telemetry_port is not None:
-            telemetry = obs.TelemetryServer(
-                registry=collector.metrics,
-                jobs=service.telemetry,
-                port=args.telemetry_port,
-            ).start()
-            print(f"telemetry: {telemetry.url} "
-                  f"(/metrics /healthz /jobs)")
-        with service, obs.span("serve.grid", jobs=args.jobs):
-            job_ids = service.submit_grid(
-                datasets=args.datasets, models=args.models,
-                methods=args.methods, prompt_modes=args.prompts,
-            )
-            rows = []
-            for job_id in job_ids:
-                try:
-                    service.result(job_id)
-                except JobFailedError:
-                    failed += 1
-                status = service.status(job_id)
-                rows.append(status)
-                cell = "/".join(status["cell"])
-                source = "cache" if status["cache_hit"] else "mined"
-                print(
-                    f"{status['job_id'][:12]}  {cell:<45} "
-                    f"{status['state']:<9} {source:<6} "
-                    f"attempts={status['attempts']} "
-                    f"run={status['run_seconds']:.2f}s"
-                )
-        stats = service.stats()
-        cache = stats["cache"]
-        print()
-        print(
-            f"service: {stats['submitted']} jobs "
-            f"({stats['jobs']['done']} done, {stats['jobs']['failed']} "
-            f"failed), {stats['cache_hits']} cache hits, "
-            f"{stats['retries']} retries, "
-            f"max queue depth {stats['queue_max_depth']}"
-        )
-        if cache is not None:
-            print(
-                f"cache: {cache['hits']} hits / {cache['misses']} misses "
-                f"({cache['hit_rate']:.0%} hit rate), "
-                f"{cache['stores']} stores"
-            )
-        if collector is not None:
-            print()
-            print(obs.summary_table(collector))
-            if args.trace_out:
-                try:
-                    obs.write_jsonl(collector, args.trace_out)
-                except OSError as error:
-                    print(
-                        f"cannot write trace to {args.trace_out}: {error}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(f"trace written to {args.trace_out}")
-    finally:
-        if telemetry is not None:
-            telemetry.stop()
-        if collector is not None:
-            obs.uninstall()
-    return 1 if failed else 0
+    return _serve_grid(args)
 
 
 # ----------------------------------------------------------------------

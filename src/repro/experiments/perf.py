@@ -84,7 +84,6 @@ GATEWAY_WORKLOAD = {
 IGNORED_METRICS = (
     "cypher.eval_seconds",
     "service.job_seconds",
-    "service.job_wait_seconds",
     "service.retry_backoff_seconds",
     "gateway.job_seconds",
     "gateway.queue_wait_seconds",

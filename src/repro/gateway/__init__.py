@@ -6,12 +6,12 @@ One gateway process owns:
   in-flight work, queue-depth backpressure) that sheds overload with
   ``429`` + ``Retry-After`` before any work is queued;
 * a **dispatcher** over N worker *processes* (each a
-  ``python -m repro.gateway.worker`` subprocess running one
-  single-threaded :class:`~repro.service.MiningService`);
+  ``python -m repro.gateway.worker`` subprocess running jobs one at a
+  time through a :class:`~repro.service.JobRunner`);
 * the **shared on-disk result cache** — job ids are the same content
-  addresses the in-process service computes, so HTTP submissions,
-  in-process ``mine()`` calls and sibling gateway processes all
-  deduplicate against one another.
+  addresses the :class:`~repro.service.JobRunner` computes, so HTTP
+  submissions, in-process ``JobRunner.run`` calls and sibling gateway
+  processes all deduplicate against one another.
 
 Typical serving setup (the CLI's ``serve --port`` does exactly this)::
 
@@ -36,9 +36,9 @@ from repro.gateway.client import (
     GatewayRejectedError,
 )
 from repro.gateway.dispatcher import (
+    DispatchBacklogFull,
     Dispatcher,
     DispatcherDraining,
-    DispatchQueueFull,
     GatewayJob,
     GatewayJobState,
 )
@@ -64,9 +64,9 @@ __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "Decision",
+    "DispatchBacklogFull",
     "Dispatcher",
     "DispatcherDraining",
-    "DispatchQueueFull",
     "Gateway",
     "GatewayClient",
     "GatewayClientError",

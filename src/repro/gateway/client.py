@@ -196,7 +196,7 @@ class GatewayClient:
         timeout: float = 300.0,
         **knobs: object,
     ) -> dict[str, Any]:
-        """Submit-and-wait convenience mirroring ``MiningService.mine``."""
+        """Submit-and-wait convenience: one call, one served run."""
         job = self.submit(dataset, model, method, prompt_mode, **knobs)
         return self.result(str(job["job_id"]), timeout=timeout)
 

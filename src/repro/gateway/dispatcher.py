@@ -36,15 +36,15 @@ from repro.gateway import protocol
 from repro.service.jobs import JobSpec
 
 __all__ = [
+    "DispatchBacklogFull",
     "Dispatcher",
-    "DispatchQueueFull",
     "DispatcherDraining",
     "GatewayJob",
     "GatewayJobState",
 ]
 
 
-class DispatchQueueFull(RuntimeError):
+class DispatchBacklogFull(RuntimeError):
     """The dispatch backlog is at capacity."""
 
 
@@ -209,7 +209,7 @@ class Dispatcher:
         max_retries: int = 3,
         retry_base_delay: float = 0.5,
         respawn_limit: int = 3,
-        drain_timeout: float = 30.0,
+        cache_max_entries: int | None = None,
         python: str = sys.executable,
     ) -> None:
         if workers <= 0:
@@ -218,21 +218,20 @@ class Dispatcher:
             raise ValueError("queue_depth must be positive")
         self.cache_dir = Path(cache_dir)
         self.queue_depth = queue_depth
-        self.drain_timeout = drain_timeout
         self.respawn_limit = respawn_limit
         env = _worker_env()
+        argv = [
+            python, "-m", "repro.gateway.worker",
+            "--cache-dir", str(self.cache_dir),
+            "--max-retries", str(max_retries),
+            "--retry-base-delay", str(retry_base_delay),
+        ]
+        if cache_max_entries is not None:
+            # the workers write the shared cache, so they enforce its bound
+            argv += ["--cache-max-entries", str(cache_max_entries)]
         self._workers = [
             _WorkerHandle(
-                f"w{index}",
-                [
-                    python, "-m", "repro.gateway.worker",
-                    "--cache-dir", str(self.cache_dir),
-                    "--worker-id", f"w{index}",
-                    "--max-retries", str(max_retries),
-                    "--retry-base-delay", str(retry_base_delay),
-                    "--drain-timeout", str(drain_timeout),
-                ],
-                env,
+                f"w{index}", argv + ["--worker-id", f"w{index}"], env,
             )
             for index in range(workers)
         ]
@@ -326,7 +325,7 @@ class Dispatcher:
             if self._draining:
                 raise DispatcherDraining("dispatcher is draining")
             if len(self._backlog) >= self.queue_depth:
-                raise DispatchQueueFull(
+                raise DispatchBacklogFull(
                     f"dispatch backlog at capacity ({self.queue_depth})"
                 )
             if not job.first_enqueued_at:

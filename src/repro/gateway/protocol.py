@@ -6,9 +6,10 @@ Two small JSON dialects live here:
   :func:`parse_submit` validates it against the grid vocabulary
   (datasets are open-ended, the loader decides; models, methods and
   prompt modes are closed sets) and produces the same
-  :class:`~repro.service.jobs.JobSpec` the in-process service uses, so
-  a job submitted over HTTP gets the *identical* content address as an
-  in-process ``mine()`` of the same cell;
+  :class:`~repro.service.jobs.JobSpec` the
+  :class:`~repro.service.JobRunner` runs, so a job submitted over HTTP
+  gets the *identical* content address as an in-process run of the
+  same cell;
 * the **worker line protocol** — newline-delimited JSON objects
   exchanged with worker processes over stdin/stdout.  The dispatcher
   sends ``job``/``shutdown`` ops; workers answer with ``ready``,

@@ -8,10 +8,10 @@ process:
   validation or dataset work; shed requests leave as ``429``/``503``
   with a ``Retry-After`` hint and are never seen by a worker;
 * **content-addressed identity** — the gateway computes the job id with
-  the same :func:`~repro.service.jobs.cache_key` the in-process
-  :class:`~repro.service.MiningService` uses, so an HTTP submission of
-  a cell and an in-process ``mine()`` of the same cell share one id and
-  one shared-cache entry;
+  the same :func:`~repro.service.jobs.cache_key` the
+  :class:`~repro.service.JobRunner` uses, so an HTTP submission of a
+  cell and an in-process ``JobRunner.run`` of the same cell share one
+  id and one shared-cache entry;
 * **dataset snapshots** — each served dataset is materialised once to
   ``<cache_dir>/.snapshots/<name>.json`` (see
   :mod:`repro.datasets.snapshot`); workers load the snapshot instead of
@@ -27,8 +27,7 @@ process:
   work within a deadline, then stops the fleet.
 
 The HTTP layer is stdlib :class:`~http.server.ThreadingHTTPServer` on
-the shared :class:`~repro.obs.JsonRequestHandler` base — no framework,
-same as the telemetry server.
+the shared :class:`~repro.obs.JsonRequestHandler` base — no framework.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ from repro.datasets.snapshot import save_dataset
 from repro.gateway import protocol
 from repro.gateway.admission import AdmissionController, AdmissionPolicy
 from repro.gateway.dispatcher import (
+    DispatchBacklogFull,
     Dispatcher,
     DispatcherDraining,
-    DispatchQueueFull,
     GatewayJob,
     GatewayJobState,
 )
@@ -169,7 +168,7 @@ class Gateway:
             max_retries=max_retries,
             retry_base_delay=retry_base_delay,
             respawn_limit=respawn_limit,
-            drain_timeout=drain_timeout,
+            cache_max_entries=cache_max_entries,
             python=python,
         )
         self._jobs: dict[str, GatewayJob] = {}
@@ -397,7 +396,7 @@ class Gateway:
         :class:`GatewayRejected` (429/503) or
         :class:`UnknownDatasetError` (404).  Re-submitting a cell the
         gateway already tracks returns the existing job unchanged —
-        submission is idempotent, exactly like the in-process service.
+        submission is idempotent.
         """
         spec = protocol.parse_submit(payload, self.defaults)
         if self.draining:
@@ -468,7 +467,7 @@ class Gateway:
         self._remember(job)
         try:
             self.dispatcher.submit(job)
-        except DispatchQueueFull:
+        except DispatchBacklogFull:
             self._forget(job_id)
             raise GatewayRejected(self.admission.shed("queue_full"))
         except DispatcherDraining:

@@ -1,20 +1,21 @@
 """Worker process entrypoint: ``python -m repro.gateway.worker``.
 
-One worker is one OS process owning one single-threaded
-:class:`~repro.service.MiningService` pointed at the *shared* on-disk
+One worker is one OS process owning one
+:class:`~repro.service.JobRunner` pointed at the *shared* on-disk
 result cache.  It speaks the line protocol of
 :mod:`repro.gateway.protocol` over stdin/stdout:
 
 * reads ``job`` ops — each names a dataset snapshot file (written by
   the gateway via :mod:`repro.datasets.snapshot`), the full pipeline
   spec and the gateway's content-addressed job id;
-* loads the snapshot (cached per dataset name), runs the job through
-  the existing MiningService machinery (retry/backoff, disk cache), and
+* loads the snapshot (cached per dataset name), runs the job on its
+  main thread through the runner (retry/backoff, disk cache), and
   emits a ``done`` event.  A cell another worker process already mined
-  lands as a **cross-process cache hit** — the service finds the entry
+  lands as a **cross-process cache hit** — the runner finds the entry
   in the shared cache and never touches a pipeline;
-* exits cleanly on a ``shutdown`` op, stdin EOF, or SIGTERM/SIGINT —
-  all three drain the in-flight job with a deadline before exiting.
+* exits cleanly on a ``shutdown`` op, stdin EOF, or SIGTERM/SIGINT.  A
+  signal while idle exits at once; a signal during a job lets the job
+  finish and report ``done`` first.
 
 Stdout carries protocol lines only; anything human-readable goes to
 stderr.
@@ -35,17 +36,21 @@ from repro.datasets.snapshot import load_dataset
 from repro.gateway import protocol
 from repro.obs import distributed
 from repro.obs import trace as obs_trace
-from repro.service import MiningService, RetryPolicy
+from repro.service import JobRunner, ResultCache, RetryPolicy
 
 __all__ = ["GatewayWorker", "main"]
 
 
-class _DrainRequested(Exception):
-    """Raised out of a signal handler to unwind into the drain path."""
+class _DrainRequested(BaseException):
+    """Raised out of a signal handler to leave an idle ``readline``.
+
+    A ``BaseException`` so that no job-scoped ``except Exception`` can
+    swallow it and report the drain as a failed job.
+    """
 
 
 class GatewayWorker:
-    """The protocol loop around one in-process MiningService."""
+    """The protocol loop around one :class:`~repro.service.JobRunner`."""
 
     def __init__(
         self,
@@ -53,26 +58,32 @@ class GatewayWorker:
         worker_id: str = "w0",
         max_retries: int = 3,
         retry_base_delay: float = 0.5,
-        drain_timeout: float = 30.0,
+        cache_max_entries: int | None = None,
         stdin: IO[str] | None = None,
         stdout: IO[str] | None = None,
     ) -> None:
         self.worker_id = worker_id
-        self.drain_timeout = drain_timeout
         self._stdin = stdin if stdin is not None else sys.stdin
         self._stdout = stdout if stdout is not None else sys.stdout
-        self._cache_dir = Path(cache_dir)
-        self._retry_policy = RetryPolicy(
-            max_retries=max_retries, base_delay=retry_base_delay
+        self.runner = JobRunner(
+            cache=ResultCache(cache_dir, max_entries=cache_max_entries),
+            retry_policy=RetryPolicy(
+                max_retries=max_retries, base_delay=retry_base_delay
+            ),
+            loader=self._load,
         )
         self._snapshots: dict[str, str] = {}
         self._datasets: dict[str, Dataset] = {}
-        self._service: MiningService | None = None
+        #: set by SIGTERM/SIGINT; the loop stops before the next op
+        self._drain_requested = False
+        #: True only while blocked reading the next op — the one place
+        #: a signal may interrupt
+        self._idle = False
         self.jobs_handled = 0
 
     # ------------------------------------------------------------------
     def _load(self, name: str) -> Dataset:
-        """MiningService loader: datasets come from snapshot files."""
+        """Runner loader: datasets come from snapshot files."""
         try:
             return self._datasets[name.lower()]
         except KeyError:
@@ -80,33 +91,20 @@ class GatewayWorker:
                 f"worker has no snapshot for dataset {name!r}"
             ) from None
 
-    def _ensure_service(self) -> MiningService:
-        if self._service is None:
-            self._service = MiningService(
-                cache_dir=self._cache_dir,
-                workers=1,
-                loader=self._load,
-                retry_policy=self._retry_policy,
-            )
-        return self._service
-
     def _ensure_snapshot(self, name: str, path: str) -> None:
         """Load (or reload) the dataset behind ``name``.
 
         A changed snapshot path for a known name means the gateway
-        regenerated the dataset: the old MiningService caches (contexts,
-        fingerprints, warmed pipelines) are stale, so the whole service
-        is rebuilt rather than risk mining against the old graph.
+        republished the dataset (watch mode, or a regenerated graph):
+        the runner forgets that dataset's fingerprint, context and
+        warmed pipelines, while every other dataset stays warm.
         """
         name = name.lower()
         if self._snapshots.get(name) == path:
             return
-        dataset = load_dataset(path)
-        if name in self._snapshots and self._service is not None:
-            self._service.shutdown(wait=True, timeout=self.drain_timeout)
-            self._service = None
+        self._datasets[name] = load_dataset(path)
         self._snapshots[name] = path
-        self._datasets[name] = dataset
+        self.runner.forget(name)
 
     # ------------------------------------------------------------------
     def _emit(self, message: dict) -> None:
@@ -120,7 +118,7 @@ class GatewayWorker:
 
         Installs a fresh per-job collector and opens the worker-side
         root span; every service/pipeline span the mining run records
-        nests under it via the existing in-process propagation.  Returns
+        nests under it on this thread.  Returns
         ``(collector, root, trace_id)`` plus remembers the previously
         installed collector for restoration.
         """
@@ -167,26 +165,12 @@ class GatewayWorker:
         try:
             spec = protocol.spec_from_payload(message["spec"])
             self._ensure_snapshot(spec.dataset, str(message["snapshot"]))
-            service = self._ensure_service()
-            overrides = {
-                "base_seed": spec.base_seed,
-                "window_size": spec.window_size,
-                "overlap": spec.overlap,
-                "rag_chunk_tokens": spec.rag_chunk_tokens,
-                "rag_top_k": spec.rag_top_k,
-            }
             trace_tags = (
                 {"trace_id": adopted[2]} if adopted is not None else None
             )
-            local_id = service.submit(
-                spec.dataset, spec.model, spec.method, spec.prompt_mode,
-                trace_tags=trace_tags,
-                **overrides,
-            )
-            run = service.result(local_id)
-            status = service.status(local_id)
+            result = self.runner.run(spec, trace_tags=trace_tags)
         except Exception as error:
-            # JobFailedError, snapshot errors, protocol drift — anything
+            # mining failures, snapshot errors, protocol drift — anything
             # job-scoped becomes a failed done event, never a dead worker
             reason = f"{type(error).__name__}: {error}"
             trace_id, spans = self._end_trace(adopted, error=reason)
@@ -200,12 +184,12 @@ class GatewayWorker:
             trace_id, spans = self._end_trace(adopted)
             self._emit(protocol.done_event(
                 job_id, ok=True,
-                cache_hit=bool(status["cache_hit"]),
-                attempts=int(status["attempts"]),
-                retries=int(status["retries"]),
-                rules=run.rule_count,
+                cache_hit=result.cache_hit,
+                attempts=result.attempts,
+                retries=result.retries,
+                rules=result.run.rule_count,
                 run_seconds=time.monotonic() - started,
-                computed_id=local_id,
+                computed_id=result.job_id,
                 trace=trace_id, spans=spans,
             ))
         finally:
@@ -214,7 +198,9 @@ class GatewayWorker:
     # ------------------------------------------------------------------
     def _install_signal_handlers(self) -> None:
         def handler(signum: int, frame: object) -> None:
-            raise _DrainRequested()
+            self._drain_requested = True
+            if self._idle:
+                raise _DrainRequested()
 
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -222,15 +208,22 @@ class GatewayWorker:
             except ValueError:  # not the main thread (tests)
                 return
 
+    def _read_op(self) -> str:
+        self._idle = True
+        try:
+            return self._stdin.readline()
+        finally:
+            self._idle = False
+
     def run(self) -> int:
-        """Protocol loop: read ops until shutdown/EOF/signal, drain."""
+        """Protocol loop: read ops until shutdown/EOF/signal."""
         self._install_signal_handlers()
         self._emit(protocol.ready_event(self.worker_id, os.getpid()))
         exit_code = 0
         try:
-            while True:
-                line = self._stdin.readline()
-                if not line:          # gateway closed stdin: drain
+            while not self._drain_requested:
+                line = self._read_op()
+                if not line:          # gateway closed stdin
                     break
                 line = line.strip()
                 if not line:
@@ -254,8 +247,6 @@ class GatewayWorker:
         except _DrainRequested:
             pass
         finally:
-            if self._service is not None:
-                self._service.shutdown(wait=True, timeout=self.drain_timeout)
             self._emit({
                 "event": "bye",
                 "worker_id": self.worker_id,
@@ -268,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway.worker",
         description=(
-            "Gateway worker process: drains mining jobs from stdin "
+            "Gateway worker process: runs mining jobs from stdin "
             "(JSON lines), stores results in the shared on-disk cache, "
             "reports completions on stdout."
         ),
@@ -278,8 +269,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-retries", type=int, default=3)
     parser.add_argument("--retry-base-delay", type=float, default=0.5)
     parser.add_argument(
-        "--drain-timeout", type=float, default=30.0,
-        help="deadline for the in-flight job on shutdown (seconds)",
+        "--cache-max-entries", type=int, default=None,
+        help="LRU bound the worker enforces on the shared result cache",
     )
     args = parser.parse_args(argv)
     worker = GatewayWorker(
@@ -287,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         worker_id=args.worker_id,
         max_retries=args.max_retries,
         retry_base_delay=args.retry_base_delay,
-        drain_timeout=args.drain_timeout,
+        cache_max_entries=args.cache_max_entries,
     )
     return worker.run()
 

@@ -1,11 +1,11 @@
 """Indexed in-memory property-graph store.
 
 This is the reproduction's substitute for Neo4j: a directed multigraph with
-secondary indexes on node labels, edge labels, adjacency and per-(label,
-property) hash indexes.  The Cypher interpreter in :mod:`repro.cypher`
-does not walk these objects: every MATCH runs on the int-id CSR snapshot
-that :meth:`PropertyGraph.columnar` compiles per mutation epoch, and the
-planner's statistics catalog is derived from that same snapshot.
+secondary indexes on node labels, edge labels and adjacency.  The Cypher
+interpreter in :mod:`repro.cypher` does not walk these objects: every
+MATCH runs on the int-id CSR snapshot that :meth:`PropertyGraph.columnar`
+compiles per mutation epoch, and the planner's statistics catalog is
+derived from that same snapshot.
 
 Mutation is node/edge-at-a-time (the study never needs transactions); all
 read paths return stable, deterministic orderings so that experiments are
@@ -51,7 +51,7 @@ def _metric_inc(name: str, value: int = 1) -> None:
 
 
 def property_index_key(value: object) -> object | None:
-    """Normalize a property value into a hash-index key.
+    """Normalize a property value into a value-index key.
 
     Cypher equality treats ``2`` and ``2.0`` as equal but ``true`` and
     ``1`` as different, while Python's dict hashing conflates all three;
@@ -71,8 +71,7 @@ def property_index_key(value: object) -> object | None:
 
 
 class PropertyGraph:
-    """A directed property multigraph with label, adjacency and property
-    indexes."""
+    """A directed property multigraph with label and adjacency indexes."""
 
     def __init__(self, name: str = "graph") -> None:
         self.name = name
@@ -84,10 +83,6 @@ class PropertyGraph:
         # node id -> ordered set of incident edge ids
         self._out_edges: dict[str, dict[str, None]] = defaultdict(dict)
         self._in_edges: dict[str, dict[str, None]] = defaultdict(dict)
-        # (label, property key) -> index key -> ordered set of node ids
-        self._property_index: dict[
-            tuple[str, str], dict[object, dict[str, None]]
-        ] = defaultdict(lambda: defaultdict(dict))
         self._token = next(_GRAPH_TOKENS)
         self._epoch = 0
         self._catalog_cache: tuple[int, "GraphCatalog"] | None = None
@@ -277,7 +272,6 @@ class PropertyGraph:
         self._nodes[node.id] = node
         for label in node.labels:
             self._nodes_by_label[label][node.id] = None
-        self._index_node_properties(node)
         self._touch()
         self._emit(
             DeltaKind.NODE_ADDED,
@@ -319,11 +313,8 @@ class PropertyGraph:
 
     def update_node(self, node_id: str, properties: Properties) -> Node:
         """Merge ``properties`` into an existing node."""
-        node = self.node(node_id)
-        self._deindex_node_properties(node, properties.keys())
-        updated = node.with_properties(properties)
+        updated = self.node(node_id).with_properties(properties)
         self._nodes[node_id] = updated
-        self._index_node_properties(updated, properties.keys())
         self._touch()
         self._emit(
             DeltaKind.NODE_PROPS,
@@ -335,9 +326,7 @@ class PropertyGraph:
 
     def remove_node_property(self, node_id: str, key: str) -> Node:
         """Drop a property from an existing node (no-op if absent)."""
-        node = self.node(node_id)
-        self._deindex_node_properties(node, (key,))
-        updated = node.without_property(key)
+        updated = self.node(node_id).without_property(key)
         self._nodes[node_id] = updated
         self._touch()
         self._emit(
@@ -395,7 +384,6 @@ class PropertyGraph:
             self._nodes_by_label[label].pop(node_id, None)
         self._out_edges.pop(node_id, None)
         self._in_edges.pop(node_id, None)
-        self._deindex_node_properties(node, node.properties.keys())
         self._touch()
         self._emit(
             DeltaKind.NODE_REMOVED,
@@ -403,40 +391,6 @@ class PropertyGraph:
             labels=tuple(sorted(node.labels)),
             keys=tuple(sorted(node.properties)),
         )
-
-    # ------------------------------------------------------------------
-    # property-index maintenance
-    # ------------------------------------------------------------------
-    def _index_node_properties(
-        self, node: Node, keys: Iterable[str] | None = None
-    ) -> None:
-        for key in (node.properties.keys() if keys is None else keys):
-            if key not in node.properties:
-                continue
-            index_key = property_index_key(node.properties[key])
-            if index_key is None:
-                continue
-            for label in node.labels:
-                self._property_index[(label, key)][index_key][node.id] = None
-
-    def _deindex_node_properties(
-        self, node: Node, keys: Iterable[str]
-    ) -> None:
-        for key in keys:
-            if key not in node.properties:
-                continue
-            index_key = property_index_key(node.properties[key])
-            if index_key is None:
-                continue
-            for label in node.labels:
-                bucket = self._property_index.get((label, key))
-                if bucket is None:
-                    continue
-                entries = bucket.get(index_key)
-                if entries is not None:
-                    entries.pop(node.id, None)
-                    if not entries:
-                        del bucket[index_key]
 
     # ------------------------------------------------------------------
     # lookups
@@ -469,35 +423,6 @@ class PropertyGraph:
         else:
             for node_id in self._nodes_by_label.get(label, ()):
                 yield self._nodes[node_id]
-
-    def nodes_where(
-        self, label: str, key: str, value: object
-    ) -> Iterator[Node]:
-        """Nodes with ``label`` whose property ``key`` equals ``value``.
-
-        Backed by the hash property index: O(matches), not O(label).
-        Unindexable values (null, lists, NaN) yield nothing — in Cypher a
-        null property never satisfies an equality predicate, and list
-        equality is handled by the matcher's scan path instead.
-        """
-        index_key = property_index_key(value)
-        if index_key is None:
-            return
-        bucket = self._property_index.get((label, key))
-        if bucket is None:
-            return
-        for node_id in bucket.get(index_key, ()):
-            yield self._nodes[node_id]
-
-    def count_where(self, label: str, key: str, value: object) -> int:
-        """Number of nodes :meth:`nodes_where` would yield (O(1))."""
-        index_key = property_index_key(value)
-        if index_key is None:
-            return 0
-        bucket = self._property_index.get((label, key))
-        if bucket is None:
-            return 0
-        return len(bucket.get(index_key, ()))
 
     def edges(self, label: str | None = None) -> Iterator[Edge]:
         """Iterate edges, optionally restricted to one label (index scan)."""

@@ -49,7 +49,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.propagate import EMPTY_CONTEXT, TraceContext, capture, wrap
-from repro.obs.server import JsonRequestHandler, TelemetryServer
+from repro.obs.server import JsonRequestHandler
 from repro.obs.metrics import (
     Counter,
     DEFAULT_BUCKETS,
@@ -85,7 +85,6 @@ __all__ = [
     "ParsedTrace",
     "Span",
     "SpanStats",
-    "TelemetryServer",
     "TraceAssembler",
     "TraceCollector",
     "TraceContext",

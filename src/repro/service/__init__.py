@@ -1,52 +1,36 @@
-"""repro.service — in-process mining job service.
+"""repro.service — mining jobs as content-addressed, cached work.
 
-The experiment grid as schedulable work: content-addressed jobs, a
-bounded priority queue with backpressure, a worker pool with
-retry/backoff around the LLM pipelines, and an on-disk result cache
-layered on :mod:`repro.mining.persistence`.
+One grid cell is one job: :class:`JobRunner` runs it on the caller's
+thread — content address, on-disk result cache layered on
+:mod:`repro.mining.persistence`, warmed pipelines and retry/backoff
+around the LLM.  The CLI grid loops over a runner; each gateway worker
+process owns one.
 """
 
-from repro.service.api import (
-    JobFailedError,
-    MiningService,
-    ServiceDraining,
-    UnknownJobError,
-)
+from repro.service.api import JobResult, JobRunner
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.jobs import (
-    Job,
     JobSpec,
-    JobState,
     cache_key,
     code_fingerprint,
     graph_fingerprint,
 )
-from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.workers import (
     JobTimeoutError,
     RetriesExhaustedError,
     RetryPolicy,
-    WorkerPool,
     call_with_retry,
 )
 
 __all__ = [
     "CacheStats",
-    "Job",
-    "JobFailedError",
-    "JobQueue",
+    "JobResult",
+    "JobRunner",
     "JobSpec",
-    "JobState",
     "JobTimeoutError",
-    "MiningService",
-    "QueueClosed",
-    "QueueFull",
     "ResultCache",
     "RetriesExhaustedError",
     "RetryPolicy",
-    "ServiceDraining",
-    "UnknownJobError",
-    "WorkerPool",
     "cache_key",
     "call_with_retry",
     "code_fingerprint",

@@ -1,178 +1,107 @@
-"""Client facade: the in-process mining job service.
+"""The job runner: one mining job, start to finish, on the caller's thread.
 
-:class:`MiningService` turns the experiment grid into schedulable work::
+:class:`JobRunner` turns a :class:`~repro.service.jobs.JobSpec` into a
+scored :class:`~repro.mining.result.MiningRun`::
 
-    with MiningService(cache_dir="~/.repro-cache", workers=4) as service:
-        job_id = service.submit("wwc2019", "llama3", "rag", "zero_shot")
-        run = service.result(job_id)        # blocks until DONE
-        print(service.stats()["cache"])     # hit rate, stores, ...
+    runner = JobRunner(cache=ResultCache("~/.repro-cache"))
+    spec = JobSpec("wwc2019", "llama3", "rag", "zero_shot")
+    job_id, run, cache_hit, attempts, retries = runner.run(spec)
 
-Submission is idempotent: a job's id is the content address of its
-(graph, code, config) triple, so submitting the same cell twice yields
-the same id and at most one mining run.  Results persist in the on-disk
-:class:`~repro.service.cache.ResultCache`, so a fresh process re-serving
+A job's id is the content address of its (graph, code, config) triple,
+so running the same spec twice yields the same id and, with a cache, at
+most one mining run.  Results persist in the on-disk
+:class:`~repro.service.cache.ResultCache`, so a fresh process re-running
 an already-mined cell answers from cache without touching a pipeline.
 Transient LLM failures are retried with exponential backoff per the
 :class:`~repro.service.workers.RetryPolicy`; everything is instrumented
-through :mod:`repro.obs` (queue depth, cache hit/miss, retries, job
-latency histograms).
+through :mod:`repro.obs` (cache hit/miss, retries, job latency).
+
+The runner is not thread-safe: the CLI grid loops over it, and each
+gateway worker process owns one.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro import obs
 from repro.datasets.base import Dataset
-from repro.datasets.registry import DATASET_NAMES, load
-from repro.llm.profiles import MODEL_NAMES
+from repro.datasets.registry import load
 from repro.mining.pipeline import PROMPT_MODES, BasePipeline, PipelineContext
 from repro.mining.ragpipe import RAGPipeline
 from repro.mining.result import MiningRun
 from repro.mining.runner import METHODS
 from repro.mining.sliding import SlidingWindowPipeline
 from repro.service.cache import ResultCache
-from repro.service.jobs import Job, JobSpec, JobState, cache_key, graph_fingerprint
-from repro.service.queue import JobQueue, QueueFull
-from repro.service.workers import RetryPolicy, WorkerPool, call_with_retry
+from repro.service.jobs import JobSpec, cache_key, graph_fingerprint
+from repro.service.workers import RetryPolicy, call_with_retry
 
-__all__ = [
-    "JobFailedError",
-    "MiningService",
-    "ServiceDraining",
-    "UnknownJobError",
-]
+__all__ = ["JobResult", "JobRunner"]
 
 
-class UnknownJobError(KeyError):
-    """No job with that id was ever submitted to this service."""
+class JobResult(NamedTuple):
+    """What :meth:`JobRunner.run` returns for a finished job."""
+
+    job_id: str                      # == the result-cache content address
+    run: MiningRun
+    cache_hit: bool
+    attempts: int                    # mining attempts actually started
+    retries: int                     # attempts beyond the first
 
 
-class ServiceDraining(RuntimeError):
-    """The service is shutting down and refuses new submissions."""
-
-
-class JobFailedError(RuntimeError):
-    """The awaited job finished FAILED or CANCELLED."""
-
-    def __init__(self, job: Job) -> None:
-        super().__init__(
-            f"job {job.job_id[:12]} ({'/'.join(job.spec.cell())}) "
-            f"finished {job.state.value}"
-            + (f": {job.error}" if job.error else "")
-        )
-        self.job = job
-
-
-class MiningService:
-    """Scheduler + worker pool + content-addressed result cache."""
+class JobRunner:
+    """Content address + result cache + warmed pipelines + retry."""
 
     def __init__(
         self,
-        cache_dir: str | Path | None = None,
-        workers: int = 2,
-        queue_depth: int = 64,
+        cache: ResultCache | None = None,
         retry_policy: RetryPolicy | None = None,
         loader: Callable[[str], Dataset] | None = None,
-        base_seed: int = 0,
-        window_size: int = 8000,
-        overlap: int = 500,
-        rag_chunk_tokens: int = 512,
-        rag_top_k: int = 16,
         llm_middleware: Callable[[object], object] | None = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        self.cache = cache
         self.retry_policy = retry_policy or RetryPolicy()
         self.loader = loader or load
-        self.base_seed = base_seed
-        self.window_size = window_size
-        self.overlap = overlap
-        self.rag_chunk_tokens = rag_chunk_tokens
-        self.rag_top_k = rag_top_k
         self.llm_middleware = llm_middleware
         self._sleep = sleep
         self._clock = clock
-        self.cache = (
-            ResultCache(cache_dir) if cache_dir is not None else None
-        )
-        self.queue = JobQueue(maxsize=queue_depth)
-        self.pool = WorkerPool(self.queue, self._execute, workers=workers)
-        self._jobs: dict[str, Job] = {}
-        self._contexts: dict[str, PipelineContext] = {}
         self._fingerprints: dict[str, str] = {}
+        self._contexts: dict[str, PipelineContext] = {}
         self._pipelines: dict[tuple, BasePipeline] = {}
-        self._lock = threading.Lock()         # job table + state moves
-        self._build_lock = threading.Lock()   # context/pipeline builds
-        self._started = False
-        self._draining = False
-        self._running = 0                     # jobs currently executing
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "MiningService":
-        if not self._started:
-            self._started = True
-            self.pool.start()
-        return self
-
-    @property
-    def draining(self) -> bool:
-        """True once shutdown started; submissions are refused."""
-        with self._lock:
-            return self._draining
-
-    def shutdown(self, wait: bool = True, timeout: float | None = None) -> bool:
-        """Graceful drain: refuse new jobs, let in-flight work finish.
-
-        New :meth:`submit` calls raise :class:`ServiceDraining` from the
-        moment this is called; already-queued jobs are still executed.
-        With ``wait`` the call blocks until the workers exit or the
-        ``timeout`` deadline passes.  Returns True when every worker
-        exited within the deadline (an unbounded or un-waited shutdown
-        reports whether workers are already gone).
-        """
-        with self._lock:
-            self._draining = True
-        self.queue.close()
-        if wait and self._started:
-            self.pool.join(timeout=timeout)
-        return self.pool.alive == 0
-
-    def drain(self, deadline_seconds: float | None = None) -> bool:
-        """SIGTERM-style drain: alias of a waited :meth:`shutdown`."""
-        return self.shutdown(wait=True, timeout=deadline_seconds)
-
-    def __enter__(self) -> "MiningService":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(wait=exc_type is None)
 
     # ------------------------------------------------------------------
     # dataset / pipeline plumbing
     # ------------------------------------------------------------------
-    def _dataset(self, name: str) -> Dataset:
-        return self.loader(name.lower())
+    def job_id(self, spec: JobSpec) -> str:
+        """The spec's content address; rejects unknown methods/prompts."""
+        if spec.method not in METHODS:
+            raise ValueError(
+                f"unknown method {spec.method!r}; one of {METHODS}"
+            )
+        if spec.prompt_mode not in PROMPT_MODES:
+            raise ValueError(
+                f"unknown prompt mode {spec.prompt_mode!r}; "
+                f"one of {PROMPT_MODES}"
+            )
+        key = spec.dataset.lower()
+        if key not in self._fingerprints:
+            self._fingerprints[key] = graph_fingerprint(
+                self.loader(key).graph
+            )
+        return cache_key(spec, self._fingerprints[key])
 
-    def _graph_fingerprint(self, dataset: str) -> str:
+    def forget(self, dataset: str) -> None:
+        """Drop one dataset's fingerprint, context and pipelines, so the
+        next job re-reads it through the loader; other datasets stay
+        warm."""
         key = dataset.lower()
-        with self._build_lock:
-            if key not in self._fingerprints:
-                self._fingerprints[key] = graph_fingerprint(
-                    self._dataset(key).graph
-                )
-            return self._fingerprints[key]
-
-    def _context(self, dataset: str) -> PipelineContext:
-        key = dataset.lower()
-        if key not in self._contexts:
-            self._contexts[key] = PipelineContext.build(self._dataset(key))
-        return self._contexts[key]
+        self._fingerprints.pop(key, None)
+        self._contexts.pop(key, None)
+        for pipeline_key in [k for k in self._pipelines if k[0] == key]:
+            del self._pipelines[pipeline_key]
 
     def _pipeline(self, spec: JobSpec) -> BasePipeline:
         key = (
@@ -180,303 +109,91 @@ class MiningService:
             spec.window_size, spec.overlap,
             spec.rag_chunk_tokens, spec.rag_top_k,
         )
-        with self._build_lock:
-            pipeline = self._pipelines.get(key)
-            if pipeline is None:
-                context = self._context(spec.dataset)
-                if spec.method == "sliding_window":
-                    pipeline = SlidingWindowPipeline(
-                        context, window_size=spec.window_size,
-                        overlap=spec.overlap, base_seed=spec.base_seed,
-                    )
-                else:
-                    pipeline = RAGPipeline(
-                        context, chunk_tokens=spec.rag_chunk_tokens,
-                        top_k=spec.rag_top_k, base_seed=spec.base_seed,
-                    )
-                pipeline.llm_middleware = self.llm_middleware
-                # pre-build windows / vector index under the lock so
-                # concurrent mine() calls only ever read shared state
-                pipeline.warm()
-                self._pipelines[key] = pipeline
-            return pipeline
-
-    def _spec(
-        self, dataset: str, model: str, method: str, prompt_mode: str,
-        **overrides: object,
-    ) -> JobSpec:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; one of {METHODS}")
-        if prompt_mode not in PROMPT_MODES:
-            raise ValueError(
-                f"unknown prompt mode {prompt_mode!r}; one of {PROMPT_MODES}"
-            )
-        defaults = {
-            "base_seed": self.base_seed,
-            "window_size": self.window_size,
-            "overlap": self.overlap,
-            "rag_chunk_tokens": self.rag_chunk_tokens,
-            "rag_top_k": self.rag_top_k,
-        }
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            raise TypeError(f"unknown spec overrides: {sorted(unknown)}")
-        defaults.update(overrides)
-        return JobSpec(
-            dataset=dataset.lower(), model=model.lower(),
-            method=method, prompt_mode=prompt_mode, **defaults,
-        )
+        pipeline = self._pipelines.get(key)
+        if pipeline is None:
+            context = self._contexts.get(key[0])
+            if context is None:
+                context = PipelineContext.build(self.loader(key[0]))
+                self._contexts[key[0]] = context
+            if spec.method == "sliding_window":
+                pipeline = SlidingWindowPipeline(
+                    context, window_size=spec.window_size,
+                    overlap=spec.overlap, base_seed=spec.base_seed,
+                )
+            else:
+                pipeline = RAGPipeline(
+                    context, chunk_tokens=spec.rag_chunk_tokens,
+                    top_k=spec.rag_top_k, base_seed=spec.base_seed,
+                )
+            pipeline.llm_middleware = self.llm_middleware
+            pipeline.warm()
+            self._pipelines[key] = pipeline
+        return pipeline
 
     # ------------------------------------------------------------------
-    # client API
+    # the job
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        dataset: str,
-        model: str,
-        method: str,
-        prompt_mode: str,
-        priority: int = 0,
-        block: bool = True,
-        timeout: Optional[float] = None,
-        trace_tags: Optional[dict] = None,
-        **overrides: object,
-    ) -> str:
-        """Submit one grid cell; returns its content-addressed job id.
+    def run(
+        self, spec: JobSpec, trace_tags: Optional[dict] = None,
+    ) -> JobResult:
+        """Run one job: answer from the cache, or mine and store.
 
-        Re-submitting an identical cell returns the existing job's id
-        without queueing new work; a cell already present in the on-disk
-        cache completes immediately as a DONE cache-hit job.  When the
-        queue is at capacity the call blocks (``block``/``timeout``
-        control backpressure behaviour; :class:`QueueFull` on refusal).
-        ``trace_tags`` are stamped onto the job's ``service.job`` span.
+        Raises whatever ended the job: a non-transient pipeline error
+        at once, :class:`~repro.service.workers.RetriesExhaustedError`
+        or :class:`~repro.service.workers.JobTimeoutError` once the
+        retry policy gives up.  ``trace_tags`` are stamped onto the
+        job's ``service.job`` span.
         """
-        if self.draining:
-            raise ServiceDraining(
-                "service is draining; new submissions are refused"
-            )
-        self.start()
-        spec = self._spec(dataset, model, method, prompt_mode, **overrides)
-        job_id = cache_key(spec, self._graph_fingerprint(spec.dataset))
-        with self._lock:
-            existing = self._jobs.get(job_id)
-            if existing is not None:
-                return job_id
-        job = Job(
-            spec=spec, job_id=job_id, priority=priority,
-            submitted_at=self._clock(),
-            # snapshot the caller's tracing position: the worker thread
-            # attaches it so the job's spans join the submitter's tree
-            trace_ctx=obs.capture(),
-            trace_tags=dict(trace_tags) if trace_tags else {},
-        )
+        job_id = self.job_id(spec)
         cached = self.cache.get(job_id) if self.cache is not None else None
         if cached is not None:
-            job.result = cached
-            job.cache_hit = True
-            job.state = JobState.DONE
-            job.finished_at = job.submitted_at
-            job.done.set()
-            with self._lock:
-                self._jobs[job_id] = job
-            obs.inc("service.jobs_submitted")
             obs.inc("service.jobs_completed", cache_hit=True)
-            return job_id
-        with self._lock:
-            self._jobs[job_id] = job
-        try:
-            self.queue.put(job, priority=priority, block=block, timeout=timeout)
-        except QueueFull:
-            with self._lock:
-                self._jobs.pop(job_id, None)
-            raise
-        obs.inc("service.jobs_submitted")
-        return job_id
+            return JobResult(job_id, cached, True, 0, 0)
 
-    def submit_grid(
-        self,
-        datasets: tuple[str, ...] | list[str] | None = None,
-        models: tuple[str, ...] | list[str] | None = None,
-        methods: tuple[str, ...] | list[str] | None = None,
-        prompt_modes: tuple[str, ...] | list[str] | None = None,
-        priority: int = 0,
-    ) -> list[str]:
-        """Submit a grid slice; returns job ids in submission order."""
-        ids = []
-        for dataset in datasets or DATASET_NAMES:
-            for prompt_mode in prompt_modes or PROMPT_MODES:
-                for method in methods or METHODS:
-                    for model in models or MODEL_NAMES:
-                        ids.append(self.submit(
-                            dataset, model, method, prompt_mode,
-                            priority=priority,
-                        ))
-        return ids
-
-    def _job(self, job_id: str) -> Job:
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise UnknownJobError(job_id)
-        return job
-
-    def status(self, job_id: str) -> dict[str, object]:
-        """A plain-dict snapshot of one job's lifecycle."""
-        return self._job(job_id).snapshot()
-
-    def result(self, job_id: str, timeout: Optional[float] = None) -> MiningRun:
-        """Block until the job finishes; return its MiningRun."""
-        job = self._job(job_id)
-        if not job.done.wait(timeout=timeout):
-            raise TimeoutError(
-                f"job {job_id[:12]} still {job.state.value} after {timeout}s"
-            )
-        if job.state is not JobState.DONE:
-            raise JobFailedError(job)
-        return job.result
-
-    def cancel(self, job_id: str) -> bool:
-        """Cancel a still-queued job; running jobs cannot be recalled."""
-        job = self._job(job_id)
-        with self._lock:
-            if job.state is not JobState.QUEUED:
-                return False
-            job.state = JobState.CANCELLED
-            job.finished_at = self._clock()
-        job.done.set()
-        obs.inc("service.jobs_cancelled")
-        return True
-
-    def stats(self) -> dict[str, object]:
-        """Service-level accounting for dashboards and the CLI."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-        by_state: dict[str, int] = {state.value: 0 for state in JobState}
-        for job in jobs:
-            by_state[job.state.value] += 1
-        cache_stats = self.cache.stats if self.cache is not None else None
-        return {
-            "jobs": by_state,
-            "submitted": len(jobs),
-            "cache_hits": sum(1 for job in jobs if job.cache_hit),
-            "retries": sum(job.retries for job in jobs),
-            "attempts": sum(job.attempts for job in jobs),
-            "queue_depth": self.queue.depth,
-            "queue_max_depth": self.queue.max_depth_seen,
-            "workers": self.pool.alive,
-            "cache": (
-                {
-                    "hits": cache_stats.hits,
-                    "misses": cache_stats.misses,
-                    "stores": cache_stats.stores,
-                    "evictions": cache_stats.evictions,
-                    "hit_rate": cache_stats.hit_rate,
-                }
-                if cache_stats is not None else None
-            ),
-        }
-
-    def telemetry(self) -> dict[str, object]:
-        """The live ``/jobs`` payload: queue depth, per-state job
-        counts and worker utilization (see :mod:`repro.obs.server`)."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-            running = self._running
-        by_state: dict[str, int] = {state.value: 0 for state in JobState}
-        for job in jobs:
-            by_state[job.state.value] += 1
-        workers = self.pool.worker_count
-        return {
-            "queue": {
-                "depth": self.queue.depth,
-                "max_depth_seen": self.queue.max_depth_seen,
-                "capacity": self.queue.maxsize,
-                "closed": self.queue.closed,
-            },
-            "jobs": by_state,
-            "submitted": len(jobs),
-            "workers": {
-                "total": workers,
-                "alive": self.pool.alive,
-                "busy": running,
-                "utilization": running / workers if workers else 0.0,
-            },
-        }
-
-    def mine(
-        self, dataset: str, model: str, method: str, prompt_mode: str,
-        timeout: Optional[float] = None, **overrides: object,
-    ) -> MiningRun:
-        """Submit-and-wait convenience for synchronous callers."""
-        job_id = self.submit(dataset, model, method, prompt_mode, **overrides)
-        return self.result(job_id, timeout=timeout)
-
-    # ------------------------------------------------------------------
-    # worker side
-    # ------------------------------------------------------------------
-    def _execute(self, job: Job) -> None:
-        with self._lock:
-            if job.state is not JobState.QUEUED:
-                return  # cancelled while waiting in the heap
-            job.state = JobState.RUNNING
-            job.started_at = self._clock()
-            self._running += 1
-        context = job.trace_ctx if job.trace_ctx is not None else (
-            obs.EMPTY_CONTEXT
-        )
-        with context.attach():
-            self._execute_attached(job)
-
-    def _execute_attached(self, job: Job) -> None:
-        spec = job.spec
-        obs.observe("service.job_wait_seconds", job.wait_seconds)
+        dataset, model, method, prompt_mode = spec.cell()
+        attempts = 0
+        retries = 0
 
         def attempt() -> MiningRun:
-            job.attempts += 1
+            nonlocal attempts
+            attempts += 1
             with obs.span(
-                "service.attempt",
-                job_id=job.job_id[:12], attempt=job.attempts,
+                "service.attempt", job_id=job_id[:12], attempt=attempts,
             ):
-                pipeline = self._pipeline(spec)
-                return pipeline.mine(spec.model, spec.prompt_mode)
+                return self._pipeline(spec).mine(model, prompt_mode)
 
-        def on_retry(attempts: int, pause: float, error: BaseException) -> None:
-            job.retries += 1
+        def on_retry(
+            _attempt: int, pause: float, _error: BaseException,
+        ) -> None:
+            nonlocal retries
+            retries += 1
             obs.inc("service.retries")
             obs.observe("service.retry_backoff_seconds", pause)
 
+        started = self._clock()
         try:
             with obs.span(
-                "service.job",
-                job_id=job.job_id[:12],
-                dataset=spec.dataset, model=spec.model,
-                method=spec.method, prompt_mode=spec.prompt_mode,
+                "service.job", job_id=job_id[:12], dataset=dataset,
+                model=model, method=method, prompt_mode=prompt_mode,
             ) as sp:
-                for tag, value in job.trace_tags.items():
+                for tag, value in (trace_tags or {}).items():
                     sp.set_attribute(tag, value)
                 run = call_with_retry(
                     attempt, self.retry_policy,
                     sleep=self._sleep, clock=self._clock,
                     on_retry=on_retry,
                 )
-                sp.set_attribute("attempts", job.attempts)
+                sp.set_attribute("attempts", attempts)
                 sp.set_attribute("rules", run.rule_count)
             if self.cache is not None:
                 self.cache.put(
-                    job.job_id, run,
-                    meta={"cell": list(spec.cell()),
-                          "attempts": job.attempts},
+                    job_id, run,
+                    meta={"cell": list(spec.cell()), "attempts": attempts},
                 )
-            job.result = run
-            job.state = JobState.DONE
-            obs.inc("service.jobs_completed", cache_hit=False)
         except Exception as error:
-            job.error = f"{type(error).__name__}: {error}"
-            job.state = JobState.FAILED
             obs.inc("service.jobs_failed", error=type(error).__name__)
+            raise
         finally:
-            job.finished_at = self._clock()
-            with self._lock:
-                self._running -= 1
-            obs.observe("service.job_seconds", job.run_seconds)
-            job.done.set()
+            obs.observe("service.job_seconds", self._clock() - started)
+        obs.inc("service.jobs_completed", cache_hit=False)
+        return JobResult(job_id, run, False, attempts, retries)

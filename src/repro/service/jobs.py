@@ -20,35 +20,19 @@ cache is addressed by.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import inspect
 import json
 import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.graph.store import PropertyGraph
 from repro.mining.persistence import FORMAT_VERSION
 
 
-class JobState(enum.Enum):
-    """Lifecycle of a job: QUEUED → RUNNING → DONE/FAILED/CANCELLED."""
-
-    QUEUED = "queued"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
-    CANCELLED = "cancelled"
-
-    @property
-    def terminal(self) -> bool:
-        return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
-
-
 @dataclass(frozen=True)
 class JobSpec:
-    """One schedulable grid cell with its full pipeline configuration."""
+    """One grid cell with its full pipeline configuration."""
 
     dataset: str
     model: str
@@ -174,61 +158,3 @@ def cache_key(
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# jobs
-# ----------------------------------------------------------------------
-@dataclass
-class Job:
-    """A submitted grid cell and everything known about its execution."""
-
-    spec: JobSpec
-    job_id: str                      # == the result-cache content address
-    priority: int = 0
-    state: JobState = JobState.QUEUED
-    attempts: int = 0                # mining attempts actually started
-    retries: int = 0                 # attempts beyond the first
-    error: Optional[str] = None
-    result: object = None            # MiningRun once DONE
-    cache_hit: bool = False
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    done: threading.Event = field(default_factory=threading.Event, repr=False)
-    #: the submitter's :class:`repro.obs.TraceContext`, captured at
-    #: submit time so the worker thread re-parents the job's spans under
-    #: the client's span tree instead of growing an orphan root
-    trace_ctx: object = field(default=None, repr=False)
-    #: caller-supplied attributes stamped onto the ``service.job`` span
-    #: (the gateway worker passes its distributed trace id through here)
-    trace_tags: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def wait_seconds(self) -> float:
-        """Queue wait: submission to first execution (0 for cache hits)."""
-        if self.started_at is None:
-            return 0.0
-        return self.started_at - self.submitted_at
-
-    @property
-    def run_seconds(self) -> float:
-        """Execution wall time, excluding queue wait."""
-        if self.started_at is None or self.finished_at is None:
-            return 0.0
-        return self.finished_at - self.started_at
-
-    def snapshot(self) -> dict[str, object]:
-        """A plain-dict view for status endpoints and the CLI."""
-        return {
-            "job_id": self.job_id,
-            "cell": self.spec.cell(),
-            "state": self.state.value,
-            "priority": self.priority,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "cache_hit": self.cache_hit,
-            "error": self.error,
-            "wait_seconds": self.wait_seconds,
-            "run_seconds": self.run_seconds,
-        }

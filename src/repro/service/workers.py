@@ -1,11 +1,8 @@
-"""Worker pool and retry/backoff machinery.
+"""Retry/backoff machinery around one mining attempt.
 
-Workers are plain threads draining the :class:`~repro.service.queue.
-JobQueue`; the execution callback (owned by the service facade) does the
-actual mining.  Retrying lives here: LLM backends fail transiently —
-timeouts, 429s, connection resets, modelled by
-:class:`repro.llm.faults.TransientLLMError` — and a grid run must
-degrade to a delayed cell, not a dead process.  Each attempt gets
+LLM backends fail transiently — timeouts, 429s, connection resets,
+modelled by :class:`repro.llm.faults.TransientLLMError` — and a grid
+run must degrade to a delayed cell, not a dead process.  Each attempt gets
 exponentially more breathing room, and a cooperative per-job timeout
 bounds how long a cell may churn before it is declared FAILED.
 
@@ -15,14 +12,11 @@ backoff schedules deterministically in zero wall time.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro import obs
 from repro.llm.faults import TransientLLMError
-from repro.service.queue import JobQueue, QueueClosed
 
 
 class RetriesExhaustedError(RuntimeError):
@@ -96,68 +90,3 @@ def call_with_retry(
             if on_retry is not None:
                 on_retry(attempts, pause, error)
             sleep(pause)
-
-
-class WorkerPool:
-    """N daemon threads draining a queue through one execution callback."""
-
-    def __init__(
-        self,
-        queue: JobQueue,
-        execute: Callable[[object], None],
-        workers: int = 2,
-        name: str = "miner",
-    ) -> None:
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        self.queue = queue
-        self.execute = execute
-        self.worker_count = workers
-        self.name = name
-        self._threads: list[threading.Thread] = []
-        self._started = False
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for index in range(self.worker_count):
-            thread = threading.Thread(
-                target=self._loop,
-                name=f"{self.name}-{index}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            try:
-                job = self.queue.get()
-            except QueueClosed:
-                return
-            # the execute callback owns all job-level error handling; a
-            # worker thread must survive anything a job throws at it
-            try:
-                self.execute(job)
-            except Exception as error:  # pragma: no cover - defensive
-                obs.inc(
-                    "service.worker_crashes",
-                    exc_type=type(error).__name__,
-                )
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for the workers to exit (call after queue.close())."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        for thread in self._threads:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            thread.join(remaining)
-
-    @property
-    def alive(self) -> int:
-        return sum(1 for thread in self._threads if thread.is_alive())

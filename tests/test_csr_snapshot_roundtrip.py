@@ -24,7 +24,7 @@ from repro.gateway.worker import GatewayWorker
 from repro.graph import PropertyGraph
 from repro.mining.persistence import run_to_dict
 from repro.rules.model import ConsistencyRule, RuleKind
-from repro.service import MiningService, graph_fingerprint
+from repro.service import JobRunner, JobSpec, graph_fingerprint
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,14 +50,10 @@ def tiny_dataset(name: str = "tiny") -> Dataset:
 
 def mine_once(dataset: Dataset) -> dict:
     """One deterministic simulated mining run, canonically serialised."""
-    service = MiningService(workers=1, loader=lambda name: dataset)
-    try:
-        job = service.submit(
-            dataset.graph.name, "llama3", "rag", "zero_shot"
-        )
-        run = service.result(job, timeout=120)
-    finally:
-        service.shutdown(wait=True)
+    runner = JobRunner(loader=lambda name: dataset)
+    run = runner.run(
+        JobSpec(dataset.graph.name, "llama3", "rag", "zero_shot")
+    ).run
     return {
         "fingerprint": graph_fingerprint(dataset.graph),
         "run": run_to_dict(run),
@@ -130,17 +126,13 @@ class TestSubprocessRoundTrip:
             "import json, sys\n"
             "from repro.datasets.snapshot import load_dataset\n"
             "from repro.mining.persistence import run_to_dict\n"
-            "from repro.service import MiningService, graph_fingerprint\n"
+            "from repro.service import JobRunner, JobSpec, graph_fingerprint\n"
             "dataset = load_dataset(sys.argv[1])\n"
             "snapshot = dataset.graph.columnar()\n"
             "assert snapshot.origin == 'artifact', snapshot.origin\n"
-            "service = MiningService(workers=1, loader=lambda n: dataset)\n"
-            "try:\n"
-            "    job = service.submit(\n"
-            "        dataset.graph.name, 'llama3', 'rag', 'zero_shot')\n"
-            "    run = service.result(job, timeout=120)\n"
-            "finally:\n"
-            "    service.shutdown(wait=True)\n"
+            "runner = JobRunner(loader=lambda n: dataset)\n"
+            "run = runner.run(JobSpec(\n"
+            "    dataset.graph.name, 'llama3', 'rag', 'zero_shot')).run\n"
             "print(json.dumps({\n"
             "    'fingerprint': graph_fingerprint(dataset.graph),\n"
             "    'run': run_to_dict(run),\n"

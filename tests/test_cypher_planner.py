@@ -1,7 +1,7 @@
 """Unit tests for the cost-based query planner.
 
-Covers the full stack it sits on: property indexes and epochs on the
-store, catalog estimates, seed selection, join ordering, predicate
+Covers the full stack it sits on: the snapshot's value index, store
+epochs, catalog estimates, seed selection, join ordering, predicate
 pushdown safety, the plan cache, EXPLAIN rendering and the executor's
 written-order fallbacks.  Planned results are checked against the naive
 reference matcher in ``tests/reference_matcher.py``.
@@ -58,25 +58,34 @@ def run_both(graph, text, parameters=None):
 
 
 # ----------------------------------------------------------------------
-# store: property index + epochs
+# snapshot value index + store epochs
 # ----------------------------------------------------------------------
+def indexed(graph, label, key, value):
+    """Ids the CSR snapshot's value index yields for ``label.key = value``."""
+    snapshot = graph.columnar()
+    index_key = property_index_key(value)
+    if index_key is None:
+        return []
+    return [
+        snapshot.node_objs[nid].id
+        for nid in snapshot.index_candidates(label, key, index_key)
+    ]
+
+
 class TestPropertyIndex:
-    def test_nodes_where_finds_by_value(self):
+    def test_index_finds_by_value(self):
         g = team_graph()
-        hits = [n.id for n in g.nodes_where("Person", "name", "name7")]
-        assert hits == ["p7"]
-        assert g.count_where("Person", "name", "name7") == 1
+        assert indexed(g, "Person", "name", "name7") == ["p7"]
 
     def test_index_tracks_updates_and_removals(self):
         g = team_graph()
         g.update_node("p7", {"name": "renamed"})
-        assert g.count_where("Person", "name", "name7") == 0
-        assert [n.id for n in g.nodes_where("Person", "name", "renamed")] \
-            == ["p7"]
+        assert indexed(g, "Person", "name", "name7") == []
+        assert indexed(g, "Person", "name", "renamed") == ["p7"]
         g.remove_node_property("p7", "name")
-        assert g.count_where("Person", "name", "renamed") == 0
+        assert indexed(g, "Person", "name", "renamed") == []
         g.remove_node("p6")
-        assert g.count_where("Person", "name", "name6") == 0
+        assert indexed(g, "Person", "name", "name6") == []
 
     def test_index_distinguishes_bool_from_int(self):
         # Cypher: true <> 1, but 2 = 2.0
@@ -84,14 +93,14 @@ class TestPropertyIndex:
         g.add_node("a", "N", {"v": True})
         g.add_node("b", "N", {"v": 1})
         g.add_node("c", "N", {"v": 1.0})
-        assert [n.id for n in g.nodes_where("N", "v", True)] == ["a"]
-        assert [n.id for n in g.nodes_where("N", "v", 1)] == ["b", "c"]
-        assert [n.id for n in g.nodes_where("N", "v", 1.0)] == ["b", "c"]
+        assert indexed(g, "N", "v", True) == ["a"]
+        assert sorted(indexed(g, "N", "v", 1)) == ["b", "c"]
+        assert sorted(indexed(g, "N", "v", 1.0)) == ["b", "c"]
 
     def test_unindexable_values_yield_nothing(self):
         g = PropertyGraph()
         g.add_node("a", "N", {"v": [1, 2]})
-        assert list(g.nodes_where("N", "v", [1, 2])) == []
+        assert indexed(g, "N", "v", [1, 2]) == []
         assert property_index_key([1, 2]) is None
         assert property_index_key(None) is None
         assert property_index_key(float("nan")) is None

@@ -114,6 +114,30 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["tableX"])
 
+    def test_serve_grid_twice_answers_from_the_cache(self, capsys, tmp_path):
+        from repro import obs
+
+        argv = [
+            "serve", "--datasets", "cybersecurity", "--models", "llama3",
+            "--methods", "rag", "--prompts", "zero_shot",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        trace = tmp_path / "trace.jsonl"
+        assert main(argv + ["--trace-out", str(trace)]) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+
+        cell = "cybersecurity/llama3/rag/zero_shot"
+        [mined] = [line for line in first.splitlines() if cell in line]
+        [replayed] = [line for line in second.splitlines() if cell in line]
+        assert " mined " in mined
+        assert " cache " in replayed
+        assert mined.split()[0] == replayed.split()[0]     # same job id
+        assert "(100% hit rate)" in second
+        spans = obs.parse_jsonl(trace.read_text()).span_names()
+        assert "service.job" in spans
+
 
 class TestExtensions:
     def test_extensions_table(self, runner):

@@ -1,12 +1,19 @@
 """Unit tests for the gateway building blocks: token buckets, the
 admission controller, the wire protocol, dataset snapshots, the
-hardened cross-process cache and service drain — everything below the
-subprocess fleet (which test_gateway_e2e covers)."""
+hardened cross-process cache, the job table and the worker's signal
+handling — everything below the subprocess fleet (which
+test_gateway_e2e covers)."""
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,15 +26,16 @@ from repro.datasets.snapshot import (
     load_dataset,
     save_dataset,
 )
-from repro.gateway import protocol
+from repro.gateway import Gateway, GatewayJobFailed, protocol
 from repro.gateway.admission import (
     AdmissionController,
     AdmissionPolicy,
     TokenBucket,
 )
+from repro.gateway.worker import GatewayWorker
 from repro.graph import PropertyGraph
 from repro.rules.model import ConsistencyRule, RuleKind
-from repro.service import MiningService, RetryPolicy, ServiceDraining
+from repro.service import JobRunner, RetryPolicy
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobSpec, cache_key, graph_fingerprint
 
@@ -67,6 +75,17 @@ def tiny_dataset(name: str = "tiny") -> Dataset:
         label="Tweet", properties=("id",), provenance="fixture",
     )
     return Dataset(graph=graph, true_rules=[rule], dirt=DirtReport())
+
+
+def mined_run():
+    """One real mined run of the tiny dataset, for cache payloads."""
+    runner = JobRunner(
+        loader=tiny_dataset,
+        retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
+    )
+    return runner.run(
+        JobSpec("tiny", "llama3", "sliding_window", "zero_shot")
+    ).run
 
 
 # ----------------------------------------------------------------------
@@ -327,16 +346,8 @@ class TestSnapshots:
 # hardened result cache
 # ----------------------------------------------------------------------
 class TestCacheHardening:
-    def mined_run(self):
-        svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
-            retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
-        )
-        with svc:
-            return svc.mine("tiny", "llama3", "sliding_window", "zero_shot")
-
     def test_concurrent_same_key_writers_leave_valid_entry(self, tmp_path):
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path)
         errors: list[BaseException] = []
 
@@ -387,7 +398,7 @@ class TestCacheHardening:
         assert evictions.total() == 1
 
     def test_keys_skip_internal_files(self, tmp_path):
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path)
         key = "ef" * 32
         cache.put(key, run)
@@ -399,7 +410,7 @@ class TestCacheHardening:
         assert key in cache
 
     def test_lock_files_created_per_key(self, tmp_path):
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path, lock_files=True)
         key = "0a" * 32
         cache.put(key, run)
@@ -411,14 +422,6 @@ class TestCacheHardening:
 # LRU bound on the result cache
 # ----------------------------------------------------------------------
 class TestCacheLRU:
-    def mined_run(self):
-        svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
-            retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
-        )
-        with svc:
-            return svc.mine("tiny", "llama3", "sliding_window", "zero_shot")
-
     @staticmethod
     def keys(count: int) -> list[str]:
         return [f"{index:02x}" * 32 for index in range(1, count + 1)]
@@ -430,7 +433,7 @@ class TestCacheLRU:
         os.utime(path, (mtime, mtime))
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path)
         for key in self.keys(5):
             cache.put(key, run)
@@ -439,7 +442,7 @@ class TestCacheLRU:
 
     def test_put_past_the_bound_evicts_the_oldest(self, tmp_path):
         collector = obs.install()
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path, max_entries=3)
         first, *rest = self.keys(4)
         self.put_at(cache, first, run, mtime=100.0)
@@ -454,7 +457,7 @@ class TestCacheLRU:
         assert evictions.value(reason="lru") == 1
 
     def test_get_refreshes_recency(self, tmp_path):
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path, max_entries=2)
         old, newer, newest = self.keys(3)
         self.put_at(cache, old, run, mtime=100.0)
@@ -465,7 +468,7 @@ class TestCacheLRU:
         assert newer not in cache              # became the LRU victim
 
     def test_just_written_key_is_never_the_victim(self, tmp_path):
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path, max_entries=1)
         first, second = self.keys(2)
         self.put_at(cache, first, run, mtime=100.0)
@@ -475,7 +478,7 @@ class TestCacheLRU:
         assert len(cache) == 1
 
     def test_eviction_keeps_served_entries_readable(self, tmp_path):
-        run = self.mined_run()
+        run = mined_run()
         cache = ResultCache(tmp_path, max_entries=2)
         survivors = self.keys(6)
         for offset, key in enumerate(survivors):
@@ -493,27 +496,108 @@ class TestCacheLRU:
 
 
 # ----------------------------------------------------------------------
-# graceful drain of the in-process service
+# the gateway's job table: idempotent submit + cancel, nothing dispatched
 # ----------------------------------------------------------------------
-class TestServiceDrain:
-    def test_drain_refuses_new_work_but_finishes_queued(self):
-        svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
-            retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
-        )
-        svc.start()
-        job_id = svc.submit("tiny", "llama3", "sliding_window", "zero_shot")
-        assert svc.drain(deadline_seconds=60) is True
-        assert svc.draining is True
-        with pytest.raises(ServiceDraining):
-            svc.submit("tiny", "llama3", "rag", "zero_shot")
-        # the pre-drain job still completed
-        assert svc.status(job_id)["state"] == "done"
+class TestGatewayJobTable:
+    """A gateway that was never started: jobs queue but never dispatch."""
 
-    def test_shutdown_is_idempotent(self):
-        svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
+    PAYLOAD = {
+        "dataset": "tiny", "model": "llama3",
+        "method": "rag", "prompt_mode": "zero_shot",
+    }
+
+    def test_same_payload_twice_is_one_queued_job(self, tmp_path):
+        gw = Gateway(cache_dir=tmp_path, workers=1, loader=tiny_dataset)
+        first = gw.submit(dict(self.PAYLOAD))
+        second = gw.submit(dict(self.PAYLOAD))
+        assert second is first
+        assert first.state.value == "queued"
+        assert gw.dispatcher.backlog == 1
+
+    def test_cancel_queued_job(self, tmp_path):
+        gw = Gateway(cache_dir=tmp_path, workers=1, loader=tiny_dataset)
+        job = gw.submit(dict(self.PAYLOAD))
+        assert gw.cancel(job.job_id) is True
+        assert gw.status(job.job_id)["state"] == "cancelled"
+        assert gw.dispatcher.backlog == 0
+        with pytest.raises(GatewayJobFailed):
+            gw.result(job.job_id, timeout=0)
+        assert gw.cancel(job.job_id) is False
+
+
+# ----------------------------------------------------------------------
+# worker signals: a drain requested mid-job lets the job finish
+# ----------------------------------------------------------------------
+class TestWorkerSignals:
+    def test_sigterm_during_a_job_drains_it(self, tmp_path, monkeypatch):
+        snapshot = save_dataset(
+            tiny_dataset(), tmp_path / "tiny.json", include_csr=True
         )
-        svc.start()
-        assert svc.shutdown(wait=True, timeout=30) is True
-        assert svc.shutdown(wait=True, timeout=30) is True
+        ops = "".join(
+            protocol.encode_line(protocol.job_message(
+                f"job-{seed}",
+                JobSpec("tiny", "llama3", "sliding_window", "zero_shot",
+                        base_seed=seed),
+                str(snapshot),
+            ))
+            for seed in (1, 2)
+        )
+        calls: list[JobSpec] = []
+        original = JobRunner.run
+
+        def signalled_run(self, spec, trace_tags=None):
+            calls.append(spec)
+            os.kill(os.getpid(), signal.SIGTERM)
+            return original(self, spec, trace_tags=trace_tags)
+
+        monkeypatch.setattr(JobRunner, "run", signalled_run)
+        stdout = io.StringIO()
+        worker = GatewayWorker(
+            cache_dir=tmp_path / "cache",
+            stdin=io.StringIO(ops), stdout=stdout,
+        )
+        handlers = {
+            signum: signal.getsignal(signum)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            assert worker.run() == 0
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        events = [
+            protocol.decode_line(line)
+            for line in stdout.getvalue().splitlines()
+        ]
+        assert [event["event"] for event in events] == [
+            "ready", "done", "bye",
+        ]
+        done = events[1]
+        assert done["ok"] is True, done.get("error")
+        assert done["job_id"] == "job-1"
+        # the second op was never read, let alone run
+        assert [spec.base_seed for spec in calls] == [1]
+        assert events[2]["jobs"] == 1
+
+    def test_sigterm_while_idle_exits_at_once(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.gateway.worker",
+             "--cache-dir", str(tmp_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            ready = protocol.decode_line(proc.stdout.readline())
+            assert ready["event"] == "ready"
+            # stdin stays open: only the signal can end the readline
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            bye = protocol.decode_line(proc.stdout.readline())
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdin.close()
+            proc.stdout.close()
+        assert bye == {"v": protocol.PROTOCOL_VERSION, "event": "bye",
+                       "worker_id": "w0", "jobs": 0}

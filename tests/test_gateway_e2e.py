@@ -11,7 +11,11 @@ The acceptance criteria of the serving subsystem, verified directly:
   hits, observable on both the gateway side and the worker side;
 * saturated admission sheds with ``429`` + ``Retry-After``, and shed
   jobs never reach a worker process;
+* the workers, which write the shared cache, enforce its LRU bound;
 * draining refuses new work with ``503`` while completing accepted work;
+* the probe endpoints answer ``/metrics`` as Prometheus text (``503``
+  without a collector), list the routes on a ``404`` and survive a
+  crashing route with a ``500``;
 * a killed worker process is respawned and its work recovered.
 """
 
@@ -19,9 +23,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -36,7 +43,7 @@ from repro.gateway import (
 )
 from repro.graph import PropertyGraph
 from repro.mining.persistence import run_to_dict
-from repro.service import MiningService, RetryPolicy
+from repro.service import JobRunner, JobSpec, ResultCache, RetryPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -125,21 +132,21 @@ class TestFleetServing:
         ) == 4
         assert stats["jobs"]["done"] == 4
 
-        svc = MiningService(
-            loader=loader, workers=2,
+        runner = JobRunner(
+            loader=loader,
             retry_policy=RetryPolicy(max_retries=3, base_delay=0.0),
         )
-        with svc:
-            for (model, method), job in zip(cells, jobs):
-                job_id = svc.submit("tiny", model, method, "zero_shot")
-                # HTTP and in-process agree on the content address ...
-                assert job_id == job["job_id"]
-                run = svc.result(job_id, timeout=120)
-                # ... and on every byte of the result
-                assert canonical(run_to_dict(run)) == canonical(
-                    served[job_id]["run"]
-                )
-                assert served[job_id]["source"] == "worker"
+        for (model, method), job in zip(cells, jobs):
+            job_id, run, *_ = runner.run(
+                JobSpec("tiny", model, method, "zero_shot")
+            )
+            # HTTP and in-process agree on the content address ...
+            assert job_id == job["job_id"]
+            # ... and on every byte of the result
+            assert canonical(run_to_dict(run)) == canonical(
+                served[job_id]["run"]
+            )
+            assert served[job_id]["source"] == "worker"
         # the fleet agreed with the gateway on every content address
         mismatches = collector.metrics.counter(
             "gateway.fingerprint_mismatches"
@@ -181,7 +188,7 @@ class TestCrossProcessCache:
         job_id = self.mine_once(loader, tmp_path)
         collector = obs.install()
         # serve_from_cache=False forces dispatch, so the *worker's*
-        # MiningService finds the sibling process's cache entry
+        # JobRunner finds the sibling process's cache entry
         with gateway(
             loader, tmp_path, workers=1, serve_from_cache=False,
         ) as gw:
@@ -196,6 +203,18 @@ class TestCrossProcessCache:
         assert final["attempts"] == 0          # nothing was re-mined
         hits = collector.metrics.counter("gateway.cache.hits")
         assert hits.value(source="worker") == 1
+
+    def test_cache_bound_is_enforced_by_the_writing_workers(
+        self, loader, tmp_path
+    ):
+        # the workers store every run, so they must apply the LRU bound
+        with gateway(
+            loader, tmp_path, workers=1, cache_max_entries=1,
+        ) as gw:
+            for seed in (1, 2, 3):
+                job = gw.submit(cell_payload("rag", base_seed=seed))
+                gw.result(job.job_id, timeout=120)
+        assert len(ResultCache(tmp_path / "cache")) == 1
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +362,88 @@ class TestDrainAndErrors:
                 client.status("deadbeef")
             assert excinfo.value.status == 404
             assert "gateway_admission" in client.metrics_text()
+
+
+# ----------------------------------------------------------------------
+# probe endpoints: /metrics, /healthz and the HTTP error paths
+# ----------------------------------------------------------------------
+def http_get(url: str):
+    """(status, content_type, body_bytes) for one GET, errors included."""
+    try:
+        with urllib.request.urlopen(url, timeout=10) as response:
+            return (
+                response.status,
+                response.headers.get("Content-Type", ""),
+                response.read(),
+            )
+    except urllib.error.HTTPError as error:
+        return error.code, error.headers.get("Content-Type", ""), error.read()
+
+
+#: one exposition-format sample line: name{labels} value
+_SAMPLE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$"
+)
+
+
+def assert_prometheus_parses(text: str) -> dict[str, float]:
+    """Minimal exposition-format parser; returns bare-name samples."""
+    values: dict[str, float] = {}
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            assert line.startswith(("# HELP ", "# TYPE "))
+            continue
+        assert _SAMPLE.match(line), f"unparsable sample line: {line!r}"
+        name_part, value = line.rsplit(" ", 1)
+        values[name_part] = float(value)
+    return values
+
+
+class TestProbeEndpoints:
+    def test_metrics_parses_as_prometheus_text(self, loader, tmp_path):
+        collector = obs.install()
+        collector.metrics.counter("jobs_done").inc(4, state="ok")
+        collector.metrics.histogram("latency").observe(0.2)
+        with gateway(loader, tmp_path, workers=1) as gw:
+            status, content_type, body = http_get(gw.url + "/metrics")
+        assert status == 200
+        assert content_type.startswith("text/plain")
+        assert "version=0.0.4" in content_type
+        values = assert_prometheus_parses(body.decode("utf-8"))
+        assert values['jobs_done{state="ok"}'] == 4
+        assert values["latency_count"] == 1
+
+    def test_metrics_503_without_a_collector(self, loader, tmp_path):
+        with gateway(loader, tmp_path, workers=1) as gw:
+            status, _ctype, body = http_get(gw.url + "/metrics")
+        assert status == 503
+        assert "registry" in json.loads(body)["error"]
+
+    def test_unknown_path_lists_endpoints(self, loader, tmp_path):
+        with gateway(loader, tmp_path, workers=1) as gw:
+            status, _ctype, body = http_get(gw.url + "/nope")
+        assert status == 404
+        endpoints = json.loads(body)["endpoints"]
+        assert "GET /metrics" in endpoints
+        assert "GET /healthz" in endpoints
+
+    def test_route_crash_is_a_500_not_a_dead_server(
+        self, loader, tmp_path, monkeypatch
+    ):
+        def boom() -> dict:
+            raise RuntimeError("stats exploded")
+
+        with gateway(loader, tmp_path, workers=1) as gw:
+            monkeypatch.setattr(gw, "stats", boom)
+            status, _ctype, body = http_get(gw.url + "/stats")
+            assert status == 500
+            assert "exploded" in json.loads(body)["error"]
+            # and the next probe still answers
+            status, _ctype, body = http_get(gw.url + "/healthz")
+            assert status == 200
+            assert json.loads(body)["status"] == "ok"
 
 
 # ----------------------------------------------------------------------

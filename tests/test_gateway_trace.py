@@ -40,7 +40,7 @@ from repro.gateway import protocol
 from repro.graph import PropertyGraph
 from repro.obs.analyze import aggregate_names, critical_path
 from repro.obs.distributed import parse_traceparent
-from repro.service import MiningService, RetryPolicy
+from repro.service import JobRunner, JobSpec, RetryPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -228,13 +228,13 @@ class TestFleetTrace:
                 span["attributes"].get("completion_tokens", 0)
             )
 
-        svc = MiningService(
-            loader=loader, workers=1,
+        runner = JobRunner(
+            loader=loader,
             retry_policy=RetryPolicy(max_retries=3, base_delay=0.0),
         )
-        with svc:
-            run = svc.mine("tiny", "mixtral", "sliding_window",
-                           "zero_shot")
+        run = runner.run(
+            JobSpec("tiny", "mixtral", "sliding_window", "zero_shot")
+        ).run
         assert prompt == run.prompt_tokens > 0
         assert completion == run.completion_tokens > 0
 

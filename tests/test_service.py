@@ -1,10 +1,9 @@
-"""Unit tests for the mining job service: job identity, queue
-backpressure, retry/backoff, and the content-addressed result cache."""
+"""Unit tests for the mining job service: job identity, retry/backoff,
+and the content-addressed result cache."""
 
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -15,11 +14,8 @@ from repro.llm.faults import TransientLLMError
 from repro.mining.persistence import FORMAT_VERSION
 from repro.mining.result import MiningRun
 from repro.service import (
-    JobQueue,
     JobSpec,
     JobTimeoutError,
-    QueueClosed,
-    QueueFull,
     ResultCache,
     RetriesExhaustedError,
     RetryPolicy,
@@ -102,72 +98,6 @@ class TestJobIdentity:
     def test_code_change_changes_id(self):
         fp = graph_fingerprint(build_graph())
         assert cache_key(SPEC, fp, "v1") != cache_key(SPEC, fp, "v2")
-
-
-# ----------------------------------------------------------------------
-# queue
-# ----------------------------------------------------------------------
-class TestJobQueue:
-    def test_priority_order_with_fifo_ties(self):
-        queue = JobQueue(maxsize=8)
-        queue.put("low-a", priority=5)
-        queue.put("high", priority=1)
-        queue.put("low-b", priority=5)
-        assert queue.get() == "high"
-        assert queue.get() == "low-a"
-        assert queue.get() == "low-b"
-
-    def test_backpressure_nonblocking(self):
-        queue = JobQueue(maxsize=2)
-        queue.put("a")
-        queue.put("b")
-        with pytest.raises(QueueFull):
-            queue.put("c", block=False)
-        assert queue.depth == 2
-        assert queue.max_depth_seen == 2
-
-    def test_backpressure_timeout(self):
-        queue = JobQueue(maxsize=1)
-        queue.put("a")
-        with pytest.raises(QueueFull):
-            queue.put("b", timeout=0.01)
-
-    def test_space_frees_after_get(self):
-        queue = JobQueue(maxsize=1)
-        queue.put("a")
-        assert queue.get() == "a"
-        queue.put("b", block=False)
-        assert queue.get() == "b"
-
-    def test_blocked_put_wakes_on_get(self):
-        queue = JobQueue(maxsize=1)
-        queue.put("a")
-        done = threading.Event()
-
-        def producer():
-            queue.put("b", timeout=5.0)
-            done.set()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        assert queue.get() == "a"
-        assert done.wait(timeout=5.0)
-        assert queue.get() == "b"
-
-    def test_close_rejects_put_and_drains_get(self):
-        queue = JobQueue(maxsize=2)
-        queue.put("a")
-        queue.close()
-        with pytest.raises(QueueClosed):
-            queue.put("b")
-        assert queue.get() == "a"      # pending work still drains
-        with pytest.raises(QueueClosed):
-            queue.get()
-
-    def test_get_timeout(self):
-        queue = JobQueue(maxsize=2)
-        with pytest.raises(TimeoutError):
-            queue.get(timeout=0.01)
 
 
 # ----------------------------------------------------------------------
@@ -328,33 +258,3 @@ class TestResultCache:
         cache.put(KEY, make_run())
         assert cache.keys() == [KEY]
         assert len(cache) == 1
-
-
-# ----------------------------------------------------------------------
-# worker pool crash accounting
-# ----------------------------------------------------------------------
-class TestWorkerCrashCounter:
-    def test_crash_increments_counter_with_exc_type(self):
-        from repro.service import WorkerPool
-
-        collector = obs.install()
-        queue = JobQueue(maxsize=4)
-        crashed = threading.Event()
-
-        def execute(job: object) -> None:
-            crashed.set()
-            raise KeyError("execute callback exploded")
-
-        pool = WorkerPool(queue, execute, workers=1)
-        pool.start()
-        queue.put(object())
-        assert crashed.wait(timeout=10)
-        queue.close()
-        pool.join(timeout=10)
-        counter = collector.metrics.counter("service.worker_crashes")
-        # the crash is labelled by exception type, so dashboards can
-        # tell a KeyError storm from a timeout storm
-        assert counter.value(exc_type="KeyError") == 1
-        assert counter.total() == 1
-        # and the worker survived to report as cleanly exited, not dead
-        assert pool.alive == 0

@@ -1,11 +1,9 @@
-"""End-to-end tests for MiningService: dedup, disk-cache reuse across a
-process-simulating reload, config-hash invalidation, transient-failure
-retry, cancellation and backpressure."""
+"""End-to-end tests for JobRunner: one id and one mining run per spec,
+disk-cache reuse across a process-simulating reload, config-hash
+invalidation, forgetting a republished dataset, and transient-failure
+retry."""
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
@@ -13,13 +11,13 @@ from repro import obs
 from repro.datasets.base import Dataset, DirtReport
 from repro.graph import PropertyGraph
 from repro.llm.faults import TransientFaultInjector
+from repro.mining.persistence import run_to_dict
 from repro.service import (
-    JobFailedError,
-    JobState,
-    MiningService,
-    QueueFull,
+    JobRunner,
+    JobSpec,
+    ResultCache,
+    RetriesExhaustedError,
     RetryPolicy,
-    UnknownJobError,
 )
 
 #: retry instantly — backoff schedules are unit-tested separately
@@ -59,93 +57,56 @@ def loader():
     return load
 
 
-def service(loader, **kwargs) -> MiningService:
-    kwargs.setdefault("workers", 2)
+def runner(loader, cache_dir=None, **kwargs) -> JobRunner:
     kwargs.setdefault("retry_policy", FAST_RETRY)
     kwargs.setdefault("sleep", lambda seconds: None)
-    return MiningService(loader=loader, **kwargs)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    return JobRunner(cache=cache, loader=loader, **kwargs)
 
 
-class GateMiddleware:
-    """Blocks every LLM completion until released — pins a worker so
-    queued jobs can be observed and cancelled deterministically."""
-
-    def __init__(self) -> None:
-        self.release = threading.Event()
-        self.entered = threading.Event()
-
-    def __call__(self, llm):
-        outer = self
-
-        class Gated:
-            def complete(self, prompt):
-                outer.entered.set()
-                assert outer.release.wait(timeout=30)
-                return llm.complete(prompt)
-
-            def __getattr__(self, name):
-                return getattr(llm, name)
-
-        return Gated()
+def spec(method: str = "rag", model: str = "llama3", **knobs) -> JobSpec:
+    return JobSpec("tiny", model, method, "zero_shot", **knobs)
 
 
 # ----------------------------------------------------------------------
-# dedup + caching
+# identity + caching
 # ----------------------------------------------------------------------
 class TestSubmission:
     def test_duplicate_submit_is_one_job(self, loader, tmp_path):
-        with service(loader, cache_dir=tmp_path) as svc:
-            first = svc.submit("tiny", "llama3", "rag", "zero_shot")
-            second = svc.submit("tiny", "llama3", "rag", "zero_shot")
-            assert first == second
-            run = svc.result(first, timeout=60)
-            assert run.rule_count >= 0
-        stats = svc.stats()
-        assert stats["submitted"] == 1
-        assert stats["attempts"] == 1             # exactly one mining run
+        jobs = runner(loader, tmp_path)
+        first = jobs.run(spec())
+        second = jobs.run(spec())
+        assert first.job_id == second.job_id
+        assert first.run.rule_count >= 0
+        assert (first.cache_hit, first.attempts) == (False, 1)
+        # exactly one mining run: the repeat was answered from the cache
+        assert (second.cache_hit, second.attempts) == (True, 0)
+        assert second.run.key() == first.run.key()
+        assert jobs.cache.stats.stores == 1
 
     def test_unknown_method_and_prompt_rejected(self, loader):
-        svc = service(loader)
+        jobs = runner(loader)
         with pytest.raises(ValueError):
-            svc.submit("tiny", "llama3", "nope", "zero_shot")
+            jobs.run(JobSpec("tiny", "llama3", "nope", "zero_shot"))
         with pytest.raises(ValueError):
-            svc.submit("tiny", "llama3", "rag", "nope")
-        svc.shutdown()
-
-    def test_unknown_job_id(self, loader):
-        svc = service(loader)
-        with pytest.raises(UnknownJobError):
-            svc.status("deadbeef")
-        svc.shutdown()
-
-    def test_result_timeout(self, loader):
-        gate = GateMiddleware()
-        with service(loader, workers=1, llm_middleware=gate) as svc:
-            job_id = svc.submit("tiny", "llama3", "rag", "zero_shot")
-            with pytest.raises(TimeoutError):
-                svc.result(job_id, timeout=0.05)
-            gate.release.set()
-            svc.result(job_id, timeout=60)
+            jobs.run(JobSpec("tiny", "llama3", "rag", "nope"))
 
 
 class TestDiskCache:
     def test_second_service_answers_from_cache(self, loader, tmp_path):
-        with service(loader, cache_dir=tmp_path) as first:
-            job_id = first.submit("tiny", "llama3", "rag", "zero_shot")
-            original = first.result(job_id, timeout=60)
-        assert first.stats()["cache"]["stores"] == 1
+        first = runner(loader, tmp_path)
+        original = first.run(spec())
+        assert first.cache.stats.stores == 1
 
         collector = obs.install()
-        with service(loader, cache_dir=tmp_path) as second:
-            again = second.submit("tiny", "llama3", "rag", "zero_shot")
-            assert again == job_id
-            status = second.status(again)
-            assert status["cache_hit"] is True
-            assert status["state"] == "done"
-            assert status["attempts"] == 0        # nothing re-mined
-            rerun = second.result(again)
-        assert rerun.key() == original.key()
-        assert rerun.rule_count == original.rule_count
+        # a second runner on the same directory stands in for a fresh
+        # process: nothing in memory, everything on disk
+        again = runner(loader, tmp_path).run(spec())
+        assert again.job_id == original.job_id
+        assert again.cache_hit is True
+        assert again.attempts == 0                # nothing re-mined
+        assert again.run.key() == original.run.key()
+        assert again.run.rule_count == original.run.rule_count
         hits = collector.metrics.counter("service.cache.hits")
         assert hits.total() == 1
         # no mining span was opened on the cache-served pass
@@ -153,17 +114,46 @@ class TestDiskCache:
         assert "mine.rag" not in names
 
     def test_config_change_re_mines(self, loader, tmp_path):
-        with service(loader, cache_dir=tmp_path) as first:
-            job_id = first.submit("tiny", "llama3", "rag", "zero_shot")
-            first.result(job_id, timeout=60)
-        with service(loader, cache_dir=tmp_path) as second:
-            tweaked = second.submit(
-                "tiny", "llama3", "rag", "zero_shot", rag_top_k=4,
-            )
-            assert tweaked != job_id
-            second.result(tweaked, timeout=60)
-            assert second.status(tweaked)["cache_hit"] is False
-            assert second.status(tweaked)["attempts"] == 1
+        original = runner(loader, tmp_path).run(spec())
+        tweaked = runner(loader, tmp_path).run(spec(rag_top_k=4))
+        assert tweaked.job_id != original.job_id
+        assert tweaked.cache_hit is False
+        assert tweaked.attempts == 1
+
+
+class TestForget:
+    def test_forget_re_reads_only_that_dataset(self):
+        datasets = {
+            "tiny": build_dataset("tiny"), "other": build_dataset("other"),
+        }
+        loads: list[str] = []
+
+        def load(name: str) -> Dataset:
+            loads.append(name)
+            return datasets[name]
+
+        jobs = runner(load)
+        before = jobs.run(spec())
+        other = JobSpec("other", "llama3", "rag", "zero_shot")
+        jobs.run(other)
+
+        # republish "tiny" with users that lack a screen name
+        mutated = build_dataset("tiny")
+        for index in range(8, 12):
+            mutated.graph.add_node(f"u{index}", "User", {"id": index})
+        datasets["tiny"] = mutated
+        jobs.forget("tiny")
+        other_loads = loads.count("other")
+        after = jobs.run(spec())
+        jobs.run(other)
+
+        fresh = runner(lambda name: mutated).run(spec())
+        assert run_to_dict(fresh.run) != run_to_dict(before.run)
+        # the forgotten dataset is re-read: new address, new graph mined
+        assert after.job_id == fresh.job_id != before.job_id
+        assert run_to_dict(after.run) == run_to_dict(fresh.run)
+        # the other dataset stayed warm: never loaded again
+        assert loads.count("other") == other_loads
 
 
 # ----------------------------------------------------------------------
@@ -174,111 +164,58 @@ class TestTransientFailures:
         injector = TransientFaultInjector(failures=2)
         sleeps: list[float] = []
         collector = obs.install()
-        svc = MiningService(
-            loader=loader, workers=1, llm_middleware=injector,
+        jobs = JobRunner(
+            loader=loader, llm_middleware=injector,
             retry_policy=RetryPolicy(max_retries=3, base_delay=0.25),
             sleep=sleeps.append,
         )
-        with svc:
-            job_id = svc.submit("tiny", "mixtral", "rag", "zero_shot")
-            run = svc.result(job_id, timeout=60)
-        status = svc.status(job_id)
-        assert status["state"] == "done"
-        assert status["attempts"] == 3            # 2 failures + 1 success
-        assert status["retries"] == 2
+        result = jobs.run(spec(model="mixtral"))
+        assert result.attempts == 3               # 2 failures + 1 success
+        assert result.retries == 2
         assert injector.injected == 2
         assert sleeps == [0.25, 0.5]              # exponential backoff
-        assert run.rule_count >= 0
+        assert result.run.rule_count >= 0
         retries = collector.metrics.counter("service.retries")
         assert retries.total() == 2
 
     def test_exhausted_retries_fail_the_job(self, loader):
         injector = TransientFaultInjector(failures=100)
-        svc = service(
-            loader, workers=1, llm_middleware=injector,
+        collector = obs.install()
+        jobs = runner(
+            loader, llm_middleware=injector,
             retry_policy=RetryPolicy(max_retries=2, base_delay=0.0),
         )
-        with svc:
-            job_id = svc.submit("tiny", "llama3", "rag", "zero_shot")
-            with pytest.raises(JobFailedError):
-                svc.result(job_id, timeout=60)
-        status = svc.status(job_id)
-        assert status["state"] == "failed"
-        assert "RetriesExhausted" in status["error"]
-        assert svc.stats()["jobs"]["failed"] == 1
+        with pytest.raises(RetriesExhaustedError):
+            jobs.run(spec())
+        failed = collector.metrics.counter("service.jobs_failed")
+        assert failed.value(error="RetriesExhaustedError") == 1
 
 
 # ----------------------------------------------------------------------
-# cancellation + backpressure
-# ----------------------------------------------------------------------
-class TestCancelAndBackpressure:
-    def test_cancel_queued_job(self, loader):
-        gate = GateMiddleware()
-        with service(loader, workers=1, llm_middleware=gate) as svc:
-            running = svc.submit("tiny", "llama3", "rag", "zero_shot")
-            assert gate.entered.wait(timeout=30)  # worker is pinned
-            queued = svc.submit("tiny", "mixtral", "rag", "zero_shot")
-            assert svc.cancel(queued) is True
-            assert svc.cancel(running) is False   # already running
-            gate.release.set()
-            svc.result(running, timeout=60)
-            with pytest.raises(JobFailedError):
-                svc.result(queued, timeout=60)
-        assert svc.status(queued)["state"] == JobState.CANCELLED.value
-        assert svc.stats()["jobs"]["cancelled"] == 1
-
-    def test_full_queue_rejects_and_forgets_job(self, loader):
-        gate = GateMiddleware()
-        with service(
-            loader, workers=1, queue_depth=1, llm_middleware=gate,
-        ) as svc:
-            svc.submit("tiny", "llama3", "rag", "zero_shot")
-            assert gate.entered.wait(timeout=30)
-            svc.submit("tiny", "mixtral", "rag", "zero_shot")  # fills queue
-            with pytest.raises(QueueFull):
-                svc.submit(
-                    "tiny", "llama3", "rag", "few_shot", block=False,
-                )
-            # the refused job left no trace in the job table
-            assert svc.stats()["submitted"] == 2
-            gate.release.set()
-        assert svc.stats()["jobs"]["failed"] == 0
-        assert svc.stats()["jobs"]["done"] == 2
-
-
-# ----------------------------------------------------------------------
-# the acceptance scenario: a grid slice through the service, twice
+# the acceptance scenario: a grid slice through the runner, twice
 # ----------------------------------------------------------------------
 class TestGridSliceTwice:
+    SLICE = [
+        spec(method, model)
+        for method in ("rag", "sliding_window")
+        for model in ("llama3", "mixtral")
+    ]
+
     def test_second_pass_is_all_cache_hits(self, loader, tmp_path):
-        grid = dict(
-            datasets=["tiny"], methods=["rag", "sliding_window"],
-            prompt_modes=["zero_shot"],
-        )
-        with service(loader, cache_dir=tmp_path, workers=2) as first:
-            ids = first.submit_grid(**grid)
-            assert len(ids) == 4                  # 2 methods × 2 models
-            originals = {
-                job_id: first.result(job_id, timeout=120) for job_id in ids
-            }
-        assert first.stats()["cache"]["stores"] == 4
+        first = runner(loader, tmp_path)
+        originals = [first.run(cell) for cell in self.SLICE]
+        assert first.cache.stats.stores == 4
 
         collector = obs.install()
-        with service(loader, cache_dir=tmp_path, workers=2) as second:
-            replay = second.submit_grid(**grid)
-            assert replay == ids
-            for job_id in replay:
-                status = second.status(job_id)
-                assert status["cache_hit"] is True
-                assert status["attempts"] == 0
-                rerun = second.result(job_id)
-                assert rerun.key() == originals[job_id].key()
-                assert rerun.rule_count == originals[job_id].rule_count
-        stats = second.stats()
-        assert stats["cache_hits"] == 4
-        assert stats["attempts"] == 0             # nothing re-mined
+        second = runner(loader, tmp_path)
+        replay = [second.run(cell) for cell in self.SLICE]
+        assert [r.job_id for r in replay] == [r.job_id for r in originals]
+        for again, original in zip(replay, originals):
+            assert again.cache_hit is True
+            assert again.attempts == 0            # nothing re-mined
+            assert again.run.key() == original.run.key()
+            assert again.run.rule_count == original.run.rule_count
         hits = collector.metrics.counter("service.cache.hits")
         assert hits.total() == 4
         names = {item.name for item in collector.iter_spans()}
-        assert "mine.rag" not in names
-        assert "mine.sliding_window" not in names
+        assert not any(name.startswith("mine.") for name in names)

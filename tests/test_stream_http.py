@@ -88,7 +88,7 @@ class TestMutationRoute:
     def test_mutated_graph_is_mined_under_a_fresh_address(
         self, loader, tmp_path
     ):
-        obs.install()
+        collector = obs.install()
         with watch_gateway(loader, tmp_path) as gw:
             client = GatewayClient(gw.url, client_id="stream")
             before = client.submit("tiny", "llama3", "sliding_window",
@@ -101,6 +101,12 @@ class TestMutationRoute:
             assert after["job_id"] != before["job_id"]
             result = client.result(after["job_id"], timeout=120)
             assert result["source"] in ("worker", "cache")
+        # the worker re-read the republished snapshot and agreed with
+        # the gateway on the new address
+        mismatches = collector.metrics.counter(
+            "gateway.fingerprint_mismatches"
+        )
+        assert mismatches.total() == 0
 
     def test_malformed_batch_maps_to_400(self, loader, tmp_path):
         obs.install()

@@ -1,14 +1,13 @@
-"""End-to-end trace acceptance: jobs through MiningService with obs
-installed must yield one connected span tree per job (no orphan roots
-from worker threads), and profile-style cost attribution must agree
-with the MiningRun token totals."""
+"""End-to-end trace acceptance: jobs through JobRunner with obs
+installed must yield one connected span tree per job, and profile-style
+cost attribution must agree with the MiningRun token totals."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import obs
-from repro.service import MiningService, RetryPolicy
+from repro.service import JobRunner, JobSpec, RetryPolicy
 from tests.test_service_e2e import build_dataset
 
 CELLS = [
@@ -27,18 +26,17 @@ def clean_collector():
 
 @pytest.fixture()
 def recorded(tmp_path):
-    """Run CELLS through the service, one client span per submit, and
-    hand back (parsed trace, {job span name -> MiningRun})."""
+    """Run CELLS through the runner, one client span per job, and hand
+    back (parsed trace, {client span name -> MiningRun})."""
     collector = obs.install()
     runs = {}
-    with MiningService(
-        loader=build_dataset, workers=2,
+    runner = JobRunner(
+        loader=build_dataset,
         retry_policy=RetryPolicy(max_retries=1, base_delay=0.0),
-    ) as service:
-        for index, cell in enumerate(CELLS):
-            with obs.span(f"client-{index}"):
-                job_id = service.submit(*cell)
-                runs[f"client-{index}"] = service.result(job_id, timeout=60)
+    )
+    for index, cell in enumerate(CELLS):
+        with obs.span(f"client-{index}"):
+            runs[f"client-{index}"] = runner.run(JobSpec(*cell)).run
     path = tmp_path / "trace.jsonl"
     obs.write_jsonl(collector, str(path))
     obs.uninstall()
@@ -48,23 +46,14 @@ def recorded(tmp_path):
 class TestSingleTreePerJob:
     def test_one_connected_tree_per_client_span(self, recorded):
         trace, runs = recorded
-        # exactly one root per client span: the worker-thread job spans
-        # attached under the submitters instead of becoming orphans
+        # exactly one root per client span: every job span nests under
+        # the client span it ran in
         assert sorted(root.name for root in trace.roots) == sorted(runs)
         for root in trace.roots:
             names = {span.name for span in root.walk()}
             assert "service.job" in names
             assert "service.attempt" in names
             assert "llm.call" in names
-
-    def test_job_spans_crossed_a_thread_boundary(self, recorded):
-        trace, _runs = recorded
-        for root in trace.roots:
-            job = next(
-                span for span in root.walk() if span.name == "service.job"
-            )
-            assert job.thread != root.thread
-            assert job.thread.startswith("miner-")
 
 
 class TestTokenConservation:

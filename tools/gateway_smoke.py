@@ -6,8 +6,8 @@ a small grid slice through :class:`repro.gateway.GatewayClient`, and
 verifies the serving contract end to end:
 
 1. every served run is **byte-identical** to mining the same cell with
-   an in-process :class:`repro.service.MiningService` (and the HTTP job
-   ids equal the in-process content addresses);
+   an in-process :class:`repro.service.JobRunner` (and the HTTP job ids
+   equal the in-process content addresses);
 2. re-submitting the slice against a *fresh gateway process* on the
    same cache directory answers entirely from the worker-written cache
    (cross-process cache hits);
@@ -40,7 +40,7 @@ from repro.gateway import (
     GatewayRejectedError,
 )
 from repro.mining.persistence import run_to_dict
-from repro.service import MiningService, RetryPolicy
+from repro.service import JobRunner, JobSpec, RetryPolicy
 
 CELLS = (
     ("llama3", "sliding_window"),
@@ -169,24 +169,23 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"fleet trace written to {args.trace_out}")
 
-    svc = MiningService(
-        cache_dir=None, workers=2,
+    runner = JobRunner(
         retry_policy=RetryPolicy(max_retries=3, base_delay=0.0),
     )
-    with svc:
-        for (model, method), job_id in job_ids.items():
-            local_id = svc.submit(args.dataset, model, method, "zero_shot")
-            if local_id != job_id:
-                return fail(
-                    f"content address mismatch for {model}/{method}: "
-                    f"gateway {job_id[:12]} vs in-process {local_id[:12]}"
-                )
-            run = svc.result(local_id, timeout=600)
-            if json.dumps(run_to_dict(run), sort_keys=True) != served[job_id]:
-                return fail(
-                    f"served bytes differ from in-process mining "
-                    f"for {model}/{method}"
-                )
+    for (model, method), job_id in job_ids.items():
+        local_id, run, *_ = runner.run(
+            JobSpec(args.dataset, model, method, "zero_shot")
+        )
+        if local_id != job_id:
+            return fail(
+                f"content address mismatch for {model}/{method}: "
+                f"gateway {job_id[:12]} vs in-process {local_id[:12]}"
+            )
+        if json.dumps(run_to_dict(run), sort_keys=True) != served[job_id]:
+            return fail(
+                f"served bytes differ from in-process mining "
+                f"for {model}/{method}"
+            )
     print(f"byte-identical results for all {len(CELLS)} cells")
 
     # ------------------------------------------------------------------
