@@ -2,18 +2,26 @@
 
 These quantify the engine the whole evaluation stands on: parsing,
 index-backed matching, multi-hop joins and grouped aggregation on the
-WWC2019 graph.
+WWC2019 graph.  They run statements through ``Executor`` so that the
+statement memo behind ``execute`` never answers them; one canary times
+``execute`` itself and pins that a repeated statement is a memo hit.
 """
 
 import pytest
 
-from repro.cypher import execute, parse
+from repro import obs
+from repro.cypher import Executor, execute, parse
 from repro.datasets import load
 
 
 @pytest.fixture(scope="module")
 def graph():
     return load("wwc2019").graph
+
+
+def _engine(benchmark, graph, text):
+    """Time one statement, parsed once, on the engine."""
+    return benchmark(Executor(graph).run, parse(text))
 
 
 def test_parse_throughput(benchmark):
@@ -27,23 +35,23 @@ def test_parse_throughput(benchmark):
 
 
 def test_label_scan_count(benchmark, graph):
-    result = benchmark(
-        execute, graph, "MATCH (p:Person) RETURN count(*) AS c"
+    result = _engine(
+        benchmark, graph, "MATCH (p:Person) RETURN count(*) AS c"
     )
     assert result.scalar() == 2367
 
 
 def test_one_hop_match(benchmark, graph):
-    result = benchmark(
-        execute, graph,
+    result = _engine(
+        benchmark, graph,
         "MATCH (p:Person)-[:SCORED_GOAL]->(m:Match) RETURN count(*) AS c",
     )
     assert result.scalar() == 148
 
 
 def test_two_hop_join(benchmark, graph):
-    result = benchmark(
-        execute, graph,
+    result = _engine(
+        benchmark, graph,
         "MATCH (p:Person)-[:IN_SQUAD]->(s:Squad)-[:FOR]->(t:Tournament) "
         "RETURN count(*) AS c",
     )
@@ -51,8 +59,8 @@ def test_two_hop_join(benchmark, graph):
 
 
 def test_grouped_aggregation(benchmark, graph):
-    result = benchmark(
-        execute, graph,
+    result = _engine(
+        benchmark, graph,
         "MATCH (p:Person)-[:PLAYED_IN]->(m:Match) "
         "WITH m.id AS match_id, count(*) AS players "
         "RETURN max(players) AS biggest",
@@ -61,8 +69,8 @@ def test_grouped_aggregation(benchmark, graph):
 
 
 def test_uniqueness_check_query(benchmark, graph):
-    result = benchmark(
-        execute, graph,
+    result = _engine(
+        benchmark, graph,
         "MATCH (p:Person) WHERE p.id IS NOT NULL "
         "WITH p.id AS value, count(*) AS occurrences "
         "WHERE occurrences = 1 RETURN count(*) AS support",
@@ -71,8 +79,8 @@ def test_uniqueness_check_query(benchmark, graph):
 
 
 def test_pattern_predicate_filter(benchmark, graph):
-    result = benchmark(
-        execute, graph,
+    result = _engine(
+        benchmark, graph,
         "MATCH (s:Squad) WHERE NOT (s)-[:FOR]->(:Tournament) "
         "RETURN count(*) AS orphans",
     )
@@ -102,12 +110,8 @@ def _run(graph, text):
 
 
 def _work(graph, text):
-    """(rows, seeds, expansions, visits, CSR slices) for one cold-plan
-    execution, read from the matcher's obs counters."""
-    from repro import obs
-    from repro.cypher import clear_plan_caches
-
-    clear_plan_caches()
+    """(rows, seeds, expansions, visits, CSR slices) for one execution,
+    read from the matcher's obs counters."""
     collector = obs.install()
     try:
         result = _run(graph, text)
@@ -141,14 +145,31 @@ def test_planner_ab_reorder_join(benchmark, graph):
     assert result.scalar() is not None
 
 
-def test_plan_cache_amortizes_planning(benchmark, graph):
-    from repro.cypher import clear_plan_caches
+#: rag-wwc2019's costliest rule-scoring statement (36-70 ms cold on a
+#: 2-vCPU VM)
+COSTLIEST_QUERY = (
+    "MATCH (n:Person) WHERE n.id IS NOT NULL "
+    "WITH n.id AS value, count(*) AS occurrences "
+    "WHERE occurrences = 1 RETURN count(*) AS satisfy"
+)
 
-    clear_plan_caches()
-    _run(graph, AB_QUERY)  # warm the plan cache
 
-    result = benchmark(_run, graph, AB_QUERY)
-    assert result.scalar() is not None
+def test_statement_memo_answers_a_repeat(benchmark, graph):
+    """Canary: repeated on an unchanged graph, the statement is one memo
+    hit that matches nothing.  Fails if a change stops the memo
+    engaging, which no correctness test would notice."""
+    execute(graph, COSTLIEST_QUERY)
+    collector = obs.install()
+    try:
+        result = execute(graph, COSTLIEST_QUERY)
+        seeds = collector.metrics.counter("matcher.seeds").total()
+        outcomes = collector.metrics.counter("cypher.result_cache").samples()
+    finally:
+        obs.uninstall()
+    assert result.scalar() == 2367
+    assert seeds == 0
+    assert outcomes == [({"outcome": "hit"}, 1)]
+    assert benchmark(execute, graph, COSTLIEST_QUERY).scalar() == 2367
 
 
 def test_planner_ab_three_clause_join_planned(benchmark, graph):

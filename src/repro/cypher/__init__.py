@@ -27,11 +27,8 @@ from repro.cypher.linter import (
 )
 from repro.cypher.parser import parse
 from repro.cypher.planner import (
-    PlanCache,
     QueryPlan,
     QueryPlanner,
-    clear_plan_caches,
-    default_planner,
     explain,
 )
 from repro.cypher.render import render_expression, render_query
@@ -46,13 +43,10 @@ __all__ = [
     "Linter",
     "LintIssue",
     "LintReport",
-    "PlanCache",
     "QueryPlan",
     "QueryPlanner",
     "QueryResult",
     "UnknownFunctionError",
-    "clear_plan_caches",
-    "default_planner",
     "execute",
     "explain",
     "lint",

@@ -46,7 +46,7 @@ from repro.cypher.evaluator import EvalContext, contains_aggregate, evaluate
 from repro.cypher.functions import aggregate, is_aggregate
 from repro.cypher.matcher import MatchStats, Path, match_patterns
 from repro.cypher.parser import parse
-from repro.cypher.planner import default_planner
+from repro.cypher.planner import QueryPlanner
 from repro.graph.model import Edge, Node
 from repro.graph.store import PropertyGraph
 
@@ -232,7 +232,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _plan(self, query: Query) -> "QueryPlan | None":
         try:
-            return default_planner().plan(query, self.graph)
+            return QueryPlanner().plan(query, self.graph)
         except Exception:
             # a planning bug must never break a query; fall back to the
             # written-order walk and record that it happened
@@ -260,7 +260,10 @@ class Executor:
                 )
         rows: list[Row] = []
         seen: set = set()
+        stats: dict[str, int] = {}
         for result in results:
+            for counter, amount in result.stats.items():
+                stats[counter] = stats.get(counter, 0) + amount
             for row in result.rows:
                 if query.all:
                     rows.append(row)
@@ -269,7 +272,7 @@ class Executor:
                 if key not in seen:
                     seen.add(key)
                     rows.append(row)
-        return QueryResult(columns=columns, rows=rows)
+        return QueryResult(columns=columns, rows=rows, stats=stats)
 
     def _run_single(
         self,
@@ -806,18 +809,78 @@ def _parse_cached(query_text: str) -> Query:
     return parse(query_text)
 
 
+_WRITE_CLAUSES = (
+    CreateClause, MergeClause, SetClause, RemoveClause, DeleteClause,
+)
+
+
+def _writes(query: Query) -> bool:
+    branches = query.queries if isinstance(query, UnionQuery) else (query,)
+    return any(
+        isinstance(clause, _WRITE_CLAUSES)
+        for branch in branches
+        for clause in branch.clauses
+    )
+
+
+def _tagged(value: object) -> object:
+    # 1, 1.0 and true are equal Python keys but different Cypher values
+    if isinstance(value, tuple):
+        return (tuple, tuple(_tagged(item) for item in value))
+    return (type(value), value)
+
+
+def _copy(value: object) -> object:
+    """Fresh lists and dicts all the way down; nodes, edges and paths
+    are immutable and stay shared."""
+    if isinstance(value, list):
+        return [_copy(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    return value
+
+
 def execute(
     graph: PropertyGraph,
     query_text: str,
     parameters: Mapping[str, object] | None = None,
 ) -> QueryResult:
-    """Parse and execute ``query_text`` against ``graph``."""
+    """Parse and execute ``query_text`` against ``graph``, or answer a
+    read statement that already ran with the same parameters on this
+    graph version with a copy of its result from the graph's
+    :meth:`~repro.graph.PropertyGraph.statement_memo`."""
     with obs.span("cypher.execute") as sp:
         started = time.perf_counter()
-        query = _parse_cached(query_text)
-        result = Executor(graph, parameters).run(query)
+        # keyed on the text, not the AST: Literal(1) == Literal(True) in
+        # Python, yet ``n.p = 1`` and ``n.p = true`` count different rows
+        key = (query_text, tuple(
+            (name, _tagged(value))
+            for name, value in sorted((parameters or {}).items())
+        ))
+        try:
+            hash(key)
+        except TypeError:  # unhashable parameters bypass the memo
+            memo = None
+        else:
+            memo = graph.statement_memo()
+        cached = memo.get(key) if memo is not None else None
+        if cached is not None:
+            outcome = "hit"
+            result = QueryResult(list(cached.columns), _copy(cached.rows))
+        else:
+            query = _parse_cached(query_text)
+            result = Executor(graph, parameters).run(query)
+            outcome = "bypass" if memo is None or _writes(query) else "miss"
+            # stored only if the memo is still current: no epoch moved
+            # and no batch write is pending, so the run saw one version
+            if outcome == "miss" and graph.statement_memo() is memo:
+                memo.put(key, QueryResult(
+                    list(result.columns), _copy(result.rows)
+                ))
         elapsed = time.perf_counter() - started
         sp.set_attribute("rows", len(result.rows))
+        sp.set_attribute("cached", outcome == "hit")
+        obs.inc("cypher.result_cache", outcome=outcome)
         obs.inc("cypher.queries")
         obs.inc("cypher.rows", len(result.rows))
         obs.observe("cypher.eval_seconds", elapsed)

@@ -21,9 +21,7 @@ count queries per mined rule, repeated across the experiment grid):
   Because pruned rows skip residual evaluation, a planned query may
   *suppress* a runtime error the whole WHERE would have raised on a row
   that a pushed predicate already rejected — standard
-  cost-based-planner semantics;
-* **plan caching** keyed on ``(canonical signature, graph
-  fingerprint)``; the graph's mutation epoch invalidates plans on write.
+  cost-based-planner semantics.
 
 Plans are advisory: seeds fall back to label scans when a lookup value
 is unindexable, and every candidate is re-verified by the matcher, so a
@@ -33,8 +31,6 @@ plan can make execution faster but never change its results.
 from __future__ import annotations
 
 import dataclasses
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -70,12 +66,9 @@ from repro.graph.store import PropertyGraph
 
 __all__ = [
     "ClausePlan",
-    "PlanCache",
     "PlannedPattern",
     "QueryPlan",
     "QueryPlanner",
-    "clear_plan_caches",
-    "default_planner",
     "explain",
 ]
 
@@ -114,8 +107,6 @@ class ClausePlan:
 class QueryPlan:
     """Plans for every MATCH clause of a query, positionally keyed."""
 
-    signature: str
-    fingerprint: tuple
     clause_plans: dict[tuple[int, int], ClausePlan] = field(
         default_factory=dict
     )
@@ -619,111 +610,12 @@ def _plan_branch(
 
 
 # ----------------------------------------------------------------------
-# signatures and the plan cache
-# ----------------------------------------------------------------------
-_SIGNATURE_LOCK = threading.Lock()
-_SIGNATURES: "OrderedDict[Query, str]" = OrderedDict()
-_SIGNATURE_CACHE_SIZE = 512
-
-
-def _signature(query: Query) -> str:
-    """Memoized canonical signature (alpha-renamed pattern normal form).
-
-    ``repro.analysis`` sits above this layer, so it is imported lazily —
-    the executor reaches the planner first, never the other way around.
-    """
-    try:
-        with _SIGNATURE_LOCK:
-            cached = _SIGNATURES.get(query)
-            if cached is not None:
-                _SIGNATURES.move_to_end(query)
-                return cached
-    except TypeError:
-        return "unhashable"
-    from repro import analysis
-
-    try:
-        signature = analysis.canonical_signature(query)
-    except Exception:
-        signature = "unsigned"
-    with _SIGNATURE_LOCK:
-        _SIGNATURES[query] = signature
-        while len(_SIGNATURES) > _SIGNATURE_CACHE_SIZE:
-            _SIGNATURES.popitem(last=False)
-    return signature
-
-
-class PlanCache:
-    """Thread-safe LRU of built plans.
-
-    Keyed on ``(canonical signature, graph fingerprint)``; within a key,
-    reuse additionally requires the *exact* query AST — two alpha-variant
-    queries share a signature but differ in observable column names, so
-    their plans (which embed the ASTs) are not interchangeable.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, dict[Query, QueryPlan]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple, query: Query) -> Optional[QueryPlan]:
-        with self._lock:
-            variants = self._entries.get(key)
-            plan = None if variants is None else variants.get(query)
-            if plan is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return plan
-
-    def put(self, key: tuple, query: Query, plan: QueryPlan) -> None:
-        with self._lock:
-            variants = self._entries.setdefault(key, {})
-            variants[query] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
-# ----------------------------------------------------------------------
 # planner facade
 # ----------------------------------------------------------------------
 class QueryPlanner:
-    """Builds (and caches) :class:`QueryPlan` objects for queries."""
-
-    def __init__(self, cache: Optional[PlanCache] = None) -> None:
-        self.cache = cache
+    """Builds a :class:`QueryPlan` for a query on one graph version."""
 
     def plan(self, query: Query, graph: PropertyGraph) -> QueryPlan:
-        signature = _signature(query)
-        fingerprint = graph.fingerprint()
-        key = (signature, fingerprint)
-        cacheable = signature not in ("unhashable", "unsigned")
-        if self.cache is not None and cacheable:
-            cached = self.cache.get(key, query)
-            if cached is not None:
-                obs.inc("planner.cache_hits")
-                return cached
         catalog = graph.catalog()
         clause_plans: dict[tuple[int, int], ClausePlan] = {}
         if isinstance(query, UnionQuery):
@@ -731,31 +623,8 @@ class QueryPlanner:
                 _plan_branch(branch_index, sub, catalog, clause_plans)
         else:
             _plan_branch(0, query, catalog, clause_plans)
-        plan = QueryPlan(
-            signature=signature,
-            fingerprint=fingerprint,
-            clause_plans=clause_plans,
-        )
         obs.inc("planner.plans")
-        if self.cache is not None and cacheable:
-            self.cache.put(key, query, plan)
-        return plan
-
-
-_GLOBAL_CACHE = PlanCache()
-_DEFAULT_PLANNER = QueryPlanner(cache=_GLOBAL_CACHE)
-
-
-def default_planner() -> QueryPlanner:
-    """The process-wide planner sharing one plan cache."""
-    return _DEFAULT_PLANNER
-
-
-def clear_plan_caches() -> None:
-    """Reset the global plan + signature caches (tests, perf gate)."""
-    _GLOBAL_CACHE.clear()
-    with _SIGNATURE_LOCK:
-        _SIGNATURES.clear()
+        return QueryPlan(clause_plans=clause_plans)
 
 
 # ----------------------------------------------------------------------
@@ -777,22 +646,20 @@ def _describe_seed(step: PlannedPattern) -> str:
     return "all-nodes scan"
 
 
-def explain(
-    query: Query,
-    graph: PropertyGraph,
-    planner: Optional[QueryPlanner] = None,
-) -> str:
+def explain(query: Query, graph: PropertyGraph) -> str:
     """Render an EXPLAIN-style tree of the plan for ``query``."""
+    # repro.analysis sits above this layer: imported lazily, as the
+    # executor reaches the planner first, never the other way around
+    from repro import analysis
     from repro.cypher.render import (
         render_expression,
         render_path_pattern,
     )
 
-    planner = planner if planner is not None else default_planner()
-    plan = planner.plan(query, graph)
+    plan = QueryPlanner().plan(query, graph)
     catalog = graph.catalog()
     lines = [
-        f"QUERY PLAN  signature={plan.signature}  "
+        f"QUERY PLAN  signature={analysis.canonical_signature(query)}  "
         f"graph={graph.name} (nodes={catalog.node_count}, "
         f"edges={catalog.edge_count}, epoch={graph.epoch})"
     ]

@@ -230,17 +230,12 @@ def _run_gateway_phase(seed: int) -> None:
 
 def collect_profile(seed: int = 0) -> dict:
     """Run the gate workload under a fresh collector and profile it."""
-    from repro.cypher import clear_plan_caches
-
-    # start from a cold plan cache: the dataset registry reuses graph
-    # instances in-process, so a second profile in the same process
-    # would otherwise see warm plans and different planner.* counters
-    clear_plan_caches()
-    # same for the CSR snapshot cache: a warm columnar compile on the
-    # shared graph instance would skip the graph.csr.* counters the
-    # baseline pins
     from repro.datasets import load
 
+    # start cold: the dataset registry reuses graph instances in-process,
+    # so a warm CSR snapshot or statement memo on the shared graph would
+    # skip the graph.csr.* counters and the statement runs the baseline
+    # pins
     load(WORKLOAD["dataset"]).graph.invalidate_columnar()
     previous = obs.get_collector()
     collector = obs.TraceCollector()

@@ -10,13 +10,15 @@ derived from that same snapshot.
 Mutation is node/edge-at-a-time (the study never needs transactions); all
 read paths return stable, deterministic orderings so that experiments are
 bit-for-bit reproducible.  Every mutation bumps a monotonic *epoch*, which
-the CSR snapshot, the catalog and the plan cache use for invalidation.
+the CSR snapshot, the catalog and the statement memo use for invalidation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import defaultdict
+import threading
+from collections import OrderedDict, defaultdict
 from contextlib import contextmanager
 from dataclasses import replace as _replace_delta
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -33,13 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.columnar import ColumnarGraph
     from repro.graph.statistics import GraphCatalog
 
-#: process-unique tokens so two graphs never share a plan-cache key, even
+#: process-unique tokens so two graphs never share a snapshot stamp, even
 #: if one is garbage-collected and the other reuses its memory address
 _GRAPH_TOKENS = itertools.count(1)
 
 #: small-delta floor below which incremental CSR maintenance is always
 #: worth trying, regardless of graph size
 _INCREMENTAL_MIN = 64
+
+#: read-statement results one graph version remembers
+STATEMENT_MEMO_SIZE = 256
 
 
 def _metric_inc(name: str, value: int = 1) -> None:
@@ -70,6 +75,43 @@ def property_index_key(value: object) -> object | None:
     return None
 
 
+def _locked(method):
+    # mutators and snapshot builds exclude each other, so a reader on
+    # another thread never compiles a half-applied mutation
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
+class StatementMemo:
+    """Read-statement results (opaque to the store) of one graph version,
+    thread-safe, least recently used evicted past STATEMENT_MEMO_SIZE."""
+
+    def __init__(self, epoch: int) -> None:
+        self.epoch = epoch
+        self._entries: OrderedDict[object, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: object) -> object | None:
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            return self._entries.get(key)
+
+    def put(self, key: object, value: object) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > STATEMENT_MEMO_SIZE:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class PropertyGraph:
     """A directed property multigraph with label and adjacency indexes."""
 
@@ -92,6 +134,8 @@ class PropertyGraph:
         self._pending_deltas: list[GraphDelta] = []
         self._columnar_cache: "ColumnarGraph" | None = None
         self._columnar_log: GraphChangeLog | None = None
+        self._memo: StatementMemo | None = None
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # versioning
@@ -102,7 +146,7 @@ class PropertyGraph:
         return self._epoch
 
     def fingerprint(self) -> tuple[int, int]:
-        """A process-unique (graph, version) key for plan/stat caches."""
+        """A process-unique (graph, version) key for derived caches."""
         return (self._token, self._epoch)
 
     def _touch(self) -> None:
@@ -144,7 +188,7 @@ class PropertyGraph:
     def batch(self) -> Iterator["PropertyGraph"]:
         """Coalesce a burst of mutations into a single epoch bump.
 
-        N inserts normally cost N catalog/plan-cache invalidations; inside
+        N inserts normally cost N per-epoch cache invalidations; inside
         ``with graph.batch():`` the epoch advances once, at exit, and the
         buffered deltas flush to observers stamped with that committing
         epoch.  Reentrant — nested batches flush with the outermost exit.
@@ -159,16 +203,17 @@ class PropertyGraph:
         try:
             yield self
         finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                if self._batch_dirty:
-                    self._batch_dirty = False
-                    self._epoch += 1
-                pending, self._pending_deltas = self._pending_deltas, []
-                for delta in pending:
-                    stamped = _replace_delta(delta, epoch=self._epoch)
-                    for observer in list(self._observers):
-                        observer(stamped)
+            with self._lock:
+                self._batch_depth -= 1
+                if self._batch_depth == 0:
+                    if self._batch_dirty:
+                        self._batch_dirty = False
+                        self._epoch += 1
+                    pending, self._pending_deltas = self._pending_deltas, []
+                    for delta in pending:
+                        stamped = _replace_delta(delta, epoch=self._epoch)
+                        for observer in list(self._observers):
+                            observer(stamped)
 
     def columnar(self) -> "ColumnarGraph":
         """The CSR snapshot of the current contents, cached per epoch.
@@ -183,7 +228,15 @@ class PropertyGraph:
         dirty = self._batch_depth and self._batch_dirty
         cached = self._columnar_cache
         if not dirty and cached is not None and cached.epoch == self._epoch:
-            return cached
+            return cached  # immutable, so safe to hand out without the lock
+        return self._build_columnar()
+
+    @_locked
+    def _build_columnar(self) -> "ColumnarGraph":
+        dirty = self._batch_depth and self._batch_dirty
+        cached = self._columnar_cache
+        if not dirty and cached is not None and cached.epoch == self._epoch:
+            return cached  # built while this call waited for the lock
         from repro.graph.columnar import compile_graph
 
         if dirty:
@@ -212,6 +265,7 @@ class PropertyGraph:
         log.clear(through_epoch=self._epoch)
         return snapshot
 
+    @_locked
     def adopt_columnar(self, snapshot: "ColumnarGraph") -> None:
         """Install a pre-compiled snapshot (a deserialized artifact) as
         the columnar cache for the current epoch, so the first query
@@ -221,19 +275,34 @@ class PropertyGraph:
         if self._columnar_log is None:
             self._columnar_log = GraphChangeLog().attach(self)
 
+    @_locked
     def invalidate_columnar(self) -> None:
-        """Drop the cached CSR snapshot, change log and catalog.
+        """Drop the cached CSR snapshot, change log, catalog and memo.
 
         The next ``columnar()``/``catalog()`` call rebuilds from
-        scratch.  Used to release snapshot memory, and by the perf gate
-        to profile from a cold cache regardless of what the process ran
-        earlier (the dataset registry shares graph instances).
+        scratch and every statement runs again.  Used to release memory,
+        and by the perf gate to profile from a cold cache regardless of
+        what the process ran earlier (the dataset registry shares graph
+        instances).
         """
         if self._columnar_log is not None:
             self._columnar_log.detach(self)
             self._columnar_log = None
         self._columnar_cache = None
         self._catalog_cache = None
+        self._memo = None
+
+    def statement_memo(self) -> StatementMemo | None:
+        """The statement memo of the current epoch, replaced by an empty
+        one on the first call after the epoch moves.  ``None`` while a
+        batch holds unflushed writes, which the epoch does not describe.
+        """
+        if self._batch_depth and self._batch_dirty:
+            return None
+        memo = self._memo
+        if memo is None or memo.epoch != self._epoch:
+            memo = self._memo = StatementMemo(self._epoch)
+        return memo
 
     def catalog(self) -> "GraphCatalog":
         """The planner-grade statistics catalog, cached per epoch.
@@ -259,6 +328,7 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    @_locked
     def add_node(
         self,
         node_id: str,
@@ -281,6 +351,7 @@ class PropertyGraph:
         )
         return node
 
+    @_locked
     def add_edge(
         self,
         edge_id: str,
@@ -311,6 +382,7 @@ class PropertyGraph:
         )
         return edge
 
+    @_locked
     def update_node(self, node_id: str, properties: Properties) -> Node:
         """Merge ``properties`` into an existing node."""
         updated = self.node(node_id).with_properties(properties)
@@ -324,6 +396,7 @@ class PropertyGraph:
         )
         return updated
 
+    @_locked
     def remove_node_property(self, node_id: str, key: str) -> Node:
         """Drop a property from an existing node (no-op if absent)."""
         updated = self.node(node_id).without_property(key)
@@ -337,6 +410,7 @@ class PropertyGraph:
         )
         return updated
 
+    @_locked
     def update_edge(self, edge_id: str, properties: Properties) -> Edge:
         """Merge ``properties`` into an existing edge."""
         edge = self.edge(edge_id)
@@ -353,6 +427,7 @@ class PropertyGraph:
         )
         return updated
 
+    @_locked
     def remove_edge(self, edge_id: str) -> None:
         """Delete an edge and de-index it."""
         edge = self.edge(edge_id)
@@ -370,6 +445,7 @@ class PropertyGraph:
             keys=tuple(sorted(edge.properties)),
         )
 
+    @_locked
     def remove_node(self, node_id: str) -> None:
         """Delete a node along with all of its incident edges."""
         node = self.node(node_id)

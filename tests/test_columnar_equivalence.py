@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cypher import CypherError, Executor, clear_plan_caches, parse
+from repro.cypher import CypherError, Executor, parse
 from repro.graph import PropertyGraph
 from tests.reference_matcher import reference_engine
 from tests.test_planner_equivalence import (
@@ -115,7 +115,6 @@ ERROR_QUERIES = (
 
 def _outcome(graph, query_text, parameters=None, *, reference):
     """Run one query; normalise result rows or the raised error."""
-    clear_plan_caches()
     query = parse(query_text)
     try:
         with reference_engine() if reference else nullcontext():

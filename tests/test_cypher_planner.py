@@ -2,7 +2,7 @@
 
 Covers the full stack it sits on: the snapshot's value index, store
 epochs, catalog estimates, seed selection, join ordering, predicate
-pushdown safety, the plan cache, EXPLAIN rendering and the executor's
+pushdown safety, EXPLAIN rendering and the executor's
 written-order fallbacks.  Planned results are checked against the naive
 reference matcher in ``tests/reference_matcher.py``.
 """
@@ -15,24 +15,15 @@ from repro import obs
 from repro.cypher import (
     CypherError,
     Executor,
-    clear_plan_caches,
-    default_planner,
     execute,
     explain,
     parse,
 )
 from repro.cypher.matcher import MatchStats, match_patterns
-from repro.cypher.planner import PlanCache, QueryPlanner
+from repro.cypher.planner import QueryPlanner
 from repro.graph import PropertyGraph
 from repro.graph.store import property_index_key
 from tests.reference_matcher import reference_engine
-
-
-@pytest.fixture(autouse=True)
-def _cold_caches():
-    clear_plan_caches()
-    yield
-    clear_plan_caches()
 
 
 def team_graph(people=40, teams=4):
@@ -172,7 +163,7 @@ class TestCatalog:
 class TestPlanChoices:
     def test_equality_conjunct_becomes_index_seed(self):
         g = team_graph()
-        plan = default_planner().plan(
+        plan = QueryPlanner().plan(
             parse("MATCH (p:Person) WHERE p.name = 'name3' RETURN p"), g
         )
         step = plan.clause_plan(0, 0).steps[0]
@@ -181,7 +172,7 @@ class TestPlanChoices:
 
     def test_inline_property_map_becomes_index_seed(self):
         g = team_graph()
-        plan = default_planner().plan(
+        plan = QueryPlanner().plan(
             parse("MATCH (p:Person {name: 'name3'}) RETURN p"), g
         )
         assert plan.clause_plan(0, 0).steps[0].seed.kind == "index"
@@ -192,7 +183,7 @@ class TestPlanChoices:
             "MATCH (p:Person), (t:Team {name: 'team1'}) "
             "RETURN p.name AS n, t.name AS t"
         )
-        plan = default_planner().plan(parse(text), g)
+        plan = QueryPlanner().plan(parse(text), g)
         steps = plan.clause_plan(0, 0).steps
         # the 1-row indexed Team lookup goes before the 40-row scan
         assert steps[0].source_index == 1
@@ -204,7 +195,7 @@ class TestPlanChoices:
             "MATCH (p:Person)-[:MEMBER_OF]->(t:Team {name: 'team2'}) "
             "RETURN count(*) AS c"
         )
-        plan = default_planner().plan(parse(text), g)
+        plan = QueryPlanner().plan(parse(text), g)
         step = plan.clause_plan(0, 0).steps[0]
         assert step.reversed
         assert step.seed.kind == "index"
@@ -216,7 +207,7 @@ class TestPlanChoices:
             "MATCH q = (p:Person)-[:MEMBER_OF]->(t:Team {name: 'team2'}) "
             "RETURN q"
         )
-        plan = default_planner().plan(parse(text), g)
+        plan = QueryPlanner().plan(parse(text), g)
         assert not plan.clause_plan(0, 0).steps[0].reversed
 
     def test_safe_conjunct_is_pushed_unsafe_stays_residual(self):
@@ -225,7 +216,7 @@ class TestPlanChoices:
             "MATCH (p:Person)-[:MEMBER_OF]->(t:Team) "
             "WHERE p.age > 21 AND size(t.name) > 2 RETURN p"
         )
-        plan = default_planner().plan(parse(text), g)
+        plan = QueryPlanner().plan(parse(text), g)
         clause_plan = plan.clause_plan(0, 0)
         pushed = [
             predicate
@@ -238,7 +229,7 @@ class TestPlanChoices:
 
     def test_parameter_conjuncts_are_never_pushed(self):
         g = team_graph()
-        plan = default_planner().plan(
+        plan = QueryPlanner().plan(
             parse("MATCH (p:Person) WHERE p.age > $min RETURN p"), g
         )
         clause_plan = plan.clause_plan(0, 0)
@@ -251,53 +242,8 @@ class TestPlanChoices:
             "MATCH (t:Team {name: 'team0'}) "
             "MATCH (t)<-[:MEMBER_OF]-(p:Person) RETURN count(p) AS c"
         )
-        plan = default_planner().plan(parse(text), g)
+        plan = QueryPlanner().plan(parse(text), g)
         assert plan.clause_plan(0, 1).steps[0].seed.kind == "bound"
-
-
-# ----------------------------------------------------------------------
-# plan cache
-# ----------------------------------------------------------------------
-class TestPlanCache:
-    def test_same_query_and_epoch_hits(self):
-        g = team_graph()
-        planner = QueryPlanner(cache=PlanCache())
-        query = parse("MATCH (p:Person) RETURN p")
-        first = planner.plan(query, g)
-        assert planner.plan(query, g) is first
-        assert planner.cache.stats()["hits"] == 1
-
-    def test_mutation_invalidates(self):
-        g = team_graph()
-        planner = QueryPlanner(cache=PlanCache())
-        query = parse("MATCH (p:Person) RETURN p")
-        first = planner.plan(query, g)
-        g.add_node("extra", "Person")
-        assert planner.plan(query, g) is not first
-
-    def test_alpha_variants_share_signature_but_not_plans(self):
-        g = team_graph()
-        planner = QueryPlanner(cache=PlanCache())
-        one = parse("MATCH (a:Person) RETURN a")
-        other = parse("MATCH (b:Person) RETURN b")
-        plan_one = planner.plan(one, g)
-        plan_other = planner.plan(other, g)
-        assert plan_one.signature == plan_other.signature
-        assert plan_one is not plan_other
-        # both stay cached under the shared key
-        assert planner.plan(one, g) is plan_one
-        assert planner.plan(other, g) is plan_other
-
-    def test_lru_eviction(self):
-        g = team_graph()
-        planner = QueryPlanner(cache=PlanCache(maxsize=2))
-        queries = [
-            parse(f"MATCH (p:Person) RETURN p.name AS c{i}")
-            for i in range(3)
-        ]
-        for query in queries:
-            planner.plan(query, g)
-        assert planner.cache.stats()["entries"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +382,7 @@ class TestWorkReduction:
             "WHERE p.name = 'name42' RETURN t.name AS t"
         )
         on, off = MatchStats(), MatchStats()
-        plan = default_planner().plan(query, g)
+        plan = QueryPlanner().plan(query, g)
         clause = query.clauses[0]
         rows_on = list(match_patterns(
             g, clause.patterns, {}, plan=plan.clause_plan(0, 0),

@@ -60,6 +60,15 @@ class TestCreate:
         )
         assert result.rows == [{"k": 5}]
 
+    def test_union_sums_the_branches_write_counters(self, graph):
+        result = execute(
+            graph,
+            "CREATE (a:A {x: 1}) RETURN a.x AS x "
+            "UNION ALL CREATE (b:B {x: 2}) RETURN b.x AS x",
+        )
+        assert result.rows == [{"x": 1}, {"x": 2}]
+        assert result.stats == {"nodes_created": 2}
+
     def test_undirected_create_rejected(self, graph):
         with pytest.raises(CypherSemanticError):
             execute(graph, "CREATE (:A)-[:R]-(:B)")

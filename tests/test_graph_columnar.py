@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from repro import obs
-from repro.cypher import Executor, clear_plan_caches, execute, explain, parse
+from repro.cypher import Executor, execute, explain, parse
 from repro.graph import (
     ColumnarArtifactError,
     PropertyGraph,
@@ -346,7 +346,6 @@ class TestArtifact:
 class TestCsrWalk:
     def test_var_length_match_expands_csr_frontiers(self, collector):
         graph = sample_graph()
-        clear_plan_caches()
         result = Executor(graph).run(parse(
             "MATCH (a:User {id: 1})-[:FOLLOWS*1..2]->(b) RETURN count(*) AS c"
         ))
@@ -370,7 +369,6 @@ class TestCsrWalk:
 class TestExplain:
     def test_explain_renders_var_length_clause(self):
         graph = sample_graph()
-        clear_plan_caches()
         text = explain(
             parse("MATCH (a)-[:FOLLOWS*1..2]->(b) RETURN count(*) AS c"),
             graph,

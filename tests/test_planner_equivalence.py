@@ -15,14 +15,19 @@ relationships, multi-pattern joins, pattern predicates and parameters.
 The corpus sticks to WHERE predicates that cannot raise on these
 graphs, since the planner keeps unplanned error *timing* only for rows
 it does not prune.
+
+The statement memo round trip runs ``execute()`` through random
+sequences of reads, mutations, batches, write statements and cache
+drops: every answer, memo hit or not, must equal the reference's.
 """
 
+import itertools
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cypher import Executor, clear_plan_caches, parse
+from repro.cypher import Executor, execute, parse
 from repro.cypher.executor import _canonical
 from repro.graph import PropertyGraph
 from tests.reference_matcher import reference_engine
@@ -141,7 +146,6 @@ def row_multiset(result) -> Counter:
 @given(spec=graphs(), query_index=st.integers(0, len(QUERY_CORPUS) - 1))
 @settings(max_examples=200, deadline=None)
 def test_planned_equals_unplanned(spec, query_index):
-    clear_plan_caches()
     graph = build(spec)
     query = parse(QUERY_CORPUS[query_index])
     planned = Executor(graph).run(query)
@@ -164,7 +168,6 @@ PARAMETERIZED_QUERIES = (
 )
 @settings(max_examples=60, deadline=None)
 def test_parameterized_query_equivalent(spec, value, query_text):
-    clear_plan_caches()
     graph = build(spec)
     query = parse(query_text)
     parameters = {"v": value}
@@ -174,15 +177,94 @@ def test_parameterized_query_equivalent(spec, value, query_text):
     assert row_multiset(planned) == row_multiset(unplanned)
 
 
-@given(spec=graphs())
-@settings(max_examples=40, deadline=None)
-def test_plan_cache_round_trip_equivalent(spec):
-    """The second (cache-hit) planned run matches the unplanned run."""
-    clear_plan_caches()
+# ----------------------------------------------------------------------
+# the statement memo round trip
+# ----------------------------------------------------------------------
+#: the read statements one example draws from: the corpus plus the
+#: parameterized queries, with ``$v`` bound to values that are equal as
+#: Python keys but not as Cypher values
+MEMO_READS = QUERY_CORPUS + PARAMETERIZED_QUERIES
+MEMO_VALUES = (1, True, 1.0, 2)
+
+WRITE_STATEMENTS = (
+    "MATCH (a:A) WHERE a.p = 1 SET a.p = 2",
+    "CREATE (:A {p: 1})-[:R]->(:B {p: 3})",
+    "MATCH (a)-[r:S]->() DELETE r",
+    "MATCH (a:B) REMOVE a.q",
+    "MATCH (a:A) RETURN a.p AS v UNION ALL CREATE (b:B {p: 0}) "
+    "RETURN b.p AS v",
+)
+
+MUTATIONS = ("add_node", "add_edge", "set_p", "remove_edge", "remove_node")
+
+_reads = st.tuples(st.integers(0, 2), st.sampled_from(MEMO_VALUES))
+_mutations = st.tuples(
+    st.sampled_from(MUTATIONS), st.integers(0, 15), st.integers(0, 3)
+)
+_steps = st.one_of(
+    st.tuples(st.just("read"), _reads),
+    st.tuples(st.just("mutate"), _mutations),
+    st.tuples(st.just("batch"), st.tuples(_reads, _mutations)),
+    st.tuples(st.just("write"), st.sampled_from(WRITE_STATEMENTS)),
+    st.tuples(st.just("invalidate"), st.none()),
+)
+
+
+def mutate(graph, fresh_ids, step) -> None:
+    kind, pick, value = step
+    nodes = [node.id for node in graph.nodes()]
+    edges = [edge.id for edge in graph.edges()]
+    if kind == "add_node" or not nodes:
+        graph.add_node(next(fresh_ids), _LABEL_SETS[value % 3], {"p": value})
+    elif kind == "add_edge":
+        graph.add_edge(
+            next(fresh_ids), "RS"[value % 2],
+            nodes[pick % len(nodes)], nodes[value % len(nodes)],
+        )
+    elif kind == "set_p":
+        graph.update_node(nodes[pick % len(nodes)], {"p": value})
+    elif kind == "remove_edge" and edges:
+        graph.remove_edge(edges[pick % len(edges)])
+    elif kind == "remove_node":
+        graph.remove_node(nodes[pick % len(nodes)])
+
+
+@given(
+    spec=graphs(),
+    pool=st.lists(
+        st.integers(0, len(MEMO_READS) - 1), min_size=3, max_size=3
+    ),
+    steps=st.lists(_steps, min_size=1, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_memo_round_trip_equals_reference(spec, pool, steps):
+    """Each example reads from a pool of three statements, so repeats
+    (memo hits) are common between the steps that move the epoch."""
     graph = build(spec)
-    query = parse("MATCH (a:A)-[:R]->(b) WHERE a.p >= 1 RETURN b.p AS y")
-    Executor(graph).run(query)                       # populate the cache
-    planned = Executor(graph).run(query)             # cache hit
-    with reference_engine():
-        unplanned = Executor(graph).run(query)
-    assert row_multiset(planned) == row_multiset(unplanned)
+    fresh_ids = (f"x{number}" for number in itertools.count())
+
+    def read(choice):
+        index, value = choice
+        text = MEMO_READS[pool[index]]
+        answered = execute(graph, text, {"v": value})
+        with reference_engine():
+            expected = Executor(graph, {"v": value}).run(parse(text))
+        assert answered.columns == expected.columns
+        assert row_multiset(answered) == row_multiset(expected)
+
+    for kind, arg in steps:
+        if kind == "read":
+            read(arg)
+        elif kind == "mutate":
+            mutate(graph, fresh_ids, arg)
+        elif kind == "batch":
+            choice, mutation = arg
+            with graph.batch():
+                read(choice)
+                mutate(graph, fresh_ids, mutation)
+                read(choice)
+        elif kind == "write":
+            execute(graph, arg)
+        else:
+            graph.invalidate_columnar()
+        read((0, MEMO_VALUES[0]))
