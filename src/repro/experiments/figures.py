@@ -15,7 +15,6 @@ def pipeline_trace(runner: ExperimentRunner, dataset: str = "wwc2019") -> str:
     swa = runner.pipeline(dataset, "sliding_window")
     windows = swa.window_set
     rag = runner.pipeline(dataset, "rag")
-    rag._ensure_index()
     lines = [
         f"Pipeline trace for {context.name} (Figures 1-3 realised):",
         "",

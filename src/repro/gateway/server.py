@@ -3,10 +3,13 @@
 :class:`Gateway` composes the pieces of this package into one serving
 process:
 
-* **admission first** — every ``POST /jobs`` passes the
-  :class:`~repro.gateway.admission.AdmissionController` *before* any
-  validation or dataset work; shed requests leave as ``429``/``503``
-  with a ``Retry-After`` hint and are never seen by a worker;
+* **admission first** — every ``POST /jobs`` that could create a job
+  passes the :class:`~repro.gateway.admission.AdmissionController`
+  *before* any dataset work; shed requests leave as ``429``/``503``
+  with a ``Retry-After`` hint and are never seen by a worker.  A
+  resubmit of a job already in the job table (its dataset published)
+  creates no work, so it is answered like ``GET /jobs/{id}``, without
+  a token; only a draining gateway refuses it;
 * **content-addressed identity** — the gateway computes the job id with
   the same :func:`~repro.service.jobs.cache_key` the
   :class:`~repro.service.JobRunner` uses, so an HTTP submission of a
@@ -395,14 +398,23 @@ class Gateway:
         Raises :class:`~repro.gateway.protocol.ProtocolError` (400),
         :class:`GatewayRejected` (429/503) or
         :class:`UnknownDatasetError` (404).  Re-submitting a cell the
-        gateway already tracks returns the existing job unchanged —
-        submission is idempotent.
+        gateway already tracks returns the existing job unchanged, and
+        costs the client no admission token — submission is idempotent.
         """
         spec = protocol.parse_submit(payload, self.defaults)
         if self.draining:
             raise GatewayRejected(self.admission.shed(
                 "draining", retry_after=self.drain_timeout,
             ))
+        # a resubmit of a tracked job creates no work: like a status
+        # poll, it is answered from the job table without a token
+        with self._dataset_lock:
+            published = self._datasets.get(spec.dataset.lower())
+        if published is not None:
+            with self._jobs_lock:
+                existing = self._jobs.get(cache_key(spec, published[1]))
+            if existing is not None:
+                return existing
         decision = self.admission.admit(
             client,
             queue_depth=self.dispatcher.backlog,

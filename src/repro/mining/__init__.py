@@ -1,4 +1,4 @@
-"""Mining pipelines: sliding-window, RAG, and the experiment runner."""
+"""Mining pipelines: sliding-window, RAG, their pool and the grid runner."""
 
 from repro.mining.pipeline import (
     FEW_SHOT,
@@ -21,6 +21,7 @@ from repro.mining.persistence import (
     run_to_dict,
     save_runs,
 )
+from repro.mining.pool import PipelinePool
 from repro.mining.ragpipe import RAGPipeline, RETRIEVAL_QUERY
 from repro.mining.result import MiningRun, RuleResult
 from repro.mining.runner import METHODS, ExperimentRunner
@@ -37,6 +38,7 @@ __all__ = [
     "PROMPT_MODES",
     "ParallelSlidingWindowPipeline",
     "PipelineContext",
+    "PipelinePool",
     "RAGPipeline",
     "RETRIEVAL_QUERY",
     "RuleResult",

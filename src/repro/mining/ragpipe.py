@@ -15,7 +15,12 @@ from repro.mining.pipeline import BasePipeline, PipelineContext, combine_and_cap
 from repro.mining.result import MiningRun
 from repro.prompts.examples import examples_text
 from repro.prompts.templates import few_shot_prompt, zero_shot_prompt
-from repro.rag.retriever import DEFAULT_CHUNK_TOKENS, DEFAULT_TOP_K, GraphRetriever
+from repro.rag.retriever import (
+    DEFAULT_CHUNK_TOKENS,
+    DEFAULT_TOP_K,
+    GraphRetriever,
+    RetrievalResult,
+)
 
 #: the retrieval query is the task itself, as in the paper's first phase
 RETRIEVAL_QUERY = (
@@ -43,16 +48,23 @@ class RAGPipeline(BasePipeline):
         self.retriever = GraphRetriever(
             chunk_tokens=chunk_tokens, top_k=top_k
         )
-        self._indexed = False
+        self._retrieval: RetrievalResult | None = None
 
-    def _ensure_index(self) -> None:
-        if not self._indexed:
+    @property
+    def retrieval(self) -> RetrievalResult:
+        """The chunks every ``mine()`` prompts over.
+
+        The index never changes once built and the query is the
+        constant task, so the retrieval runs once, right after indexing.
+        """
+        if self._retrieval is None:
             self.retriever.index_statements(self.context.statements)
-            self._indexed = True
+            self._retrieval = self.retriever.retrieve(RETRIEVAL_QUERY)
+        return self._retrieval
 
     def warm(self) -> None:
-        """Chunk + embed + index now instead of on the first ``mine()``."""
-        self._ensure_index()
+        """Chunk, embed, index and retrieve now, not in the first mine()."""
+        self.retrieval
 
     # ------------------------------------------------------------------
     def mine(self, model: str, prompt_mode: str) -> MiningRun:
@@ -62,8 +74,7 @@ class RAGPipeline(BasePipeline):
             dataset=self.context.name, model=llm.name,
             prompt_mode=prompt_mode,
         ) as mine_span:
-            self._ensure_index()
-            retrieval = self.retriever.retrieve(RETRIEVAL_QUERY)
+            retrieval = self.retrieval
 
             run = MiningRun(
                 dataset=self.context.name,

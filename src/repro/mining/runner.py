@@ -1,9 +1,10 @@
 """Full experiment grid: datasets × models × encodings × prompts.
 
-One :class:`ExperimentRunner` owns the per-dataset contexts and pipeline
-instances (so encodings, window sets and vector indexes are built once)
-and produces the 24 :class:`~repro.mining.result.MiningRun` cells that
-Tables 2-6 are assembled from.  Runs are cached by cell key.
+One :class:`ExperimentRunner` draws its contexts and warmed pipelines
+from a :class:`~repro.mining.pool.PipelinePool` (so encodings, window
+sets and vector indexes are built once, whatever the seed) and produces
+the 24 :class:`~repro.mining.result.MiningRun` cells that Tables 2-6 are
+assembled from.  Runs are cached by cell key.
 """
 
 from __future__ import annotations
@@ -11,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.datasets.registry import DATASET_NAMES, load
+from repro.datasets.registry import DATASET_NAMES
 from repro.llm.profiles import MODEL_NAMES
-from repro.mining.pipeline import PROMPT_MODES, PipelineContext
-from repro.mining.ragpipe import RAGPipeline
+from repro.mining.pipeline import PROMPT_MODES, BasePipeline, PipelineContext
+from repro.mining.pool import METHODS, PipelinePool
 from repro.mining.result import MiningRun
-from repro.mining.sliding import SlidingWindowPipeline
-
-METHODS = ("sliding_window", "rag")
 
 
 @dataclass
@@ -30,36 +28,24 @@ class ExperimentRunner:
     overlap: int = 500
     rag_chunk_tokens: int = 512
     rag_top_k: int = 16
-    _contexts: dict[str, PipelineContext] = field(default_factory=dict)
-    _pipelines: dict[tuple[str, str], object] = field(default_factory=dict)
+    pool: PipelinePool = field(default_factory=PipelinePool, repr=False)
     _runs: dict[tuple[str, str, str, str], MiningRun] = field(
         default_factory=dict
     )
 
     # ------------------------------------------------------------------
     def context(self, dataset: str) -> PipelineContext:
-        key = dataset.lower()
-        if key not in self._contexts:
-            self._contexts[key] = PipelineContext.build(load(key))
-        return self._contexts[key]
+        return self.pool.context(dataset)
 
-    def pipeline(self, dataset: str, method: str):
-        key = (dataset.lower(), method)
-        if key not in self._pipelines:
-            context = self.context(dataset)
-            if method == "sliding_window":
-                self._pipelines[key] = SlidingWindowPipeline(
-                    context, window_size=self.window_size,
-                    overlap=self.overlap, base_seed=self.base_seed,
-                )
-            elif method == "rag":
-                self._pipelines[key] = RAGPipeline(
-                    context, chunk_tokens=self.rag_chunk_tokens,
-                    top_k=self.rag_top_k, base_seed=self.base_seed,
-                )
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        return self._pipelines[key]
+    def pipeline(self, dataset: str, method: str) -> BasePipeline:
+        """The pooled pipeline for ``method``, set to this grid's seed."""
+        pipeline = self.pool.pipeline(
+            dataset, method,
+            window_size=self.window_size, overlap=self.overlap,
+            rag_chunk_tokens=self.rag_chunk_tokens, rag_top_k=self.rag_top_k,
+        )
+        pipeline.base_seed = self.base_seed
+        return pipeline
 
     # ------------------------------------------------------------------
     def run(

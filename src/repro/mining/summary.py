@@ -82,18 +82,22 @@ class SummaryPipeline(BasePipeline):
     ) -> None:
         super().__init__(context, base_seed=base_seed)
         self.samples_per_label = samples_per_label
-        self._summary_text: str | None = None
+        #: (seed the sample was drawn with, its text)
+        self._summary: tuple[int, str] | None = None
 
     @property
     def summary_text(self) -> str:
-        if self._summary_text is None:
+        """The summary sampled with the current ``base_seed``."""
+        if self._summary is None or self._summary[0] != self.base_seed:
             statements = build_summary_statements(
                 self.context,
                 samples_per_label=self.samples_per_label,
                 seed=self.base_seed,
             )
-            self._summary_text = "\n".join(s.text for s in statements)
-        return self._summary_text
+            self._summary = (
+                self.base_seed, "\n".join(s.text for s in statements)
+            )
+        return self._summary[1]
 
     # ------------------------------------------------------------------
     def mine(self, model: str, prompt_mode: str) -> MiningRun:

@@ -12,9 +12,13 @@ so running the same spec twice yields the same id and, with a cache, at
 most one mining run.  Results persist in the on-disk
 :class:`~repro.service.cache.ResultCache`, so a fresh process re-running
 an already-mined cell answers from cache without touching a pipeline.
-Transient LLM failures are retried with exponential backoff per the
-:class:`~repro.service.workers.RetryPolicy`; everything is instrumented
-through :mod:`repro.obs` (cache hit/miss, retries, job latency).
+A miss mines on the runner's :class:`~repro.mining.pool.PipelinePool`:
+one warmed pipeline per (dataset, method, chunking), shared by every
+seed, so a fresh seed costs the prompts and scoring, not re-chunking
+and re-embedding the graph.  Transient LLM failures are retried with
+exponential backoff per the :class:`~repro.service.workers.RetryPolicy`;
+everything is instrumented through :mod:`repro.obs` (cache hit/miss,
+retries, job latency).
 
 The runner is not thread-safe: the CLI grid loops over it, and each
 gateway worker process owns one.
@@ -28,11 +32,9 @@ from typing import Callable, NamedTuple, Optional
 from repro import obs
 from repro.datasets.base import Dataset
 from repro.datasets.registry import load
-from repro.mining.pipeline import PROMPT_MODES, BasePipeline, PipelineContext
-from repro.mining.ragpipe import RAGPipeline
+from repro.mining.pipeline import PROMPT_MODES
+from repro.mining.pool import METHODS, PipelinePool
 from repro.mining.result import MiningRun
-from repro.mining.runner import METHODS
-from repro.mining.sliding import SlidingWindowPipeline
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobSpec, cache_key, graph_fingerprint
 from repro.service.workers import RetryPolicy, call_with_retry
@@ -51,7 +53,7 @@ class JobResult(NamedTuple):
 
 
 class JobRunner:
-    """Content address + result cache + warmed pipelines + retry."""
+    """Content address + result cache + pooled pipelines + retry."""
 
     def __init__(
         self,
@@ -65,12 +67,10 @@ class JobRunner:
         self.cache = cache
         self.retry_policy = retry_policy or RetryPolicy()
         self.loader = loader or load
-        self.llm_middleware = llm_middleware
+        self.pool = PipelinePool(self.loader, llm_middleware)
         self._sleep = sleep
         self._clock = clock
         self._fingerprints: dict[str, str] = {}
-        self._contexts: dict[str, PipelineContext] = {}
-        self._pipelines: dict[tuple, BasePipeline] = {}
 
     # ------------------------------------------------------------------
     # dataset / pipeline plumbing
@@ -94,41 +94,12 @@ class JobRunner:
         return cache_key(spec, self._fingerprints[key])
 
     def forget(self, dataset: str) -> None:
-        """Drop one dataset's fingerprint, context and pipelines, so the
+        """Drop one dataset's fingerprint and pooled pipelines, so the
         next job re-reads it through the loader; other datasets stay
         warm."""
         key = dataset.lower()
         self._fingerprints.pop(key, None)
-        self._contexts.pop(key, None)
-        for pipeline_key in [k for k in self._pipelines if k[0] == key]:
-            del self._pipelines[pipeline_key]
-
-    def _pipeline(self, spec: JobSpec) -> BasePipeline:
-        key = (
-            spec.dataset.lower(), spec.method, spec.base_seed,
-            spec.window_size, spec.overlap,
-            spec.rag_chunk_tokens, spec.rag_top_k,
-        )
-        pipeline = self._pipelines.get(key)
-        if pipeline is None:
-            context = self._contexts.get(key[0])
-            if context is None:
-                context = PipelineContext.build(self.loader(key[0]))
-                self._contexts[key[0]] = context
-            if spec.method == "sliding_window":
-                pipeline = SlidingWindowPipeline(
-                    context, window_size=spec.window_size,
-                    overlap=spec.overlap, base_seed=spec.base_seed,
-                )
-            else:
-                pipeline = RAGPipeline(
-                    context, chunk_tokens=spec.rag_chunk_tokens,
-                    top_k=spec.rag_top_k, base_seed=spec.base_seed,
-                )
-            pipeline.llm_middleware = self.llm_middleware
-            pipeline.warm()
-            self._pipelines[key] = pipeline
-        return pipeline
+        self.pool.forget(key)
 
     # ------------------------------------------------------------------
     # the job
@@ -160,7 +131,14 @@ class JobRunner:
             with obs.span(
                 "service.attempt", job_id=job_id[:12], attempt=attempts,
             ):
-                return self._pipeline(spec).mine(model, prompt_mode)
+                pipeline = self.pool.pipeline(
+                    dataset, method,
+                    window_size=spec.window_size, overlap=spec.overlap,
+                    rag_chunk_tokens=spec.rag_chunk_tokens,
+                    rag_top_k=spec.rag_top_k,
+                )
+                pipeline.base_seed = spec.base_seed
+                return pipeline.mine(model, prompt_mode)
 
         def on_retry(
             _attempt: int, pause: float, _error: BaseException,

@@ -102,17 +102,26 @@ _CODE_FINGERPRINT_MODULES = (
     "repro.analysis.findings",
     "repro.analysis.satisfiability",
     "repro.analysis.typecheck",
+    "repro.correction.classifier",
+    "repro.correction.corrector",
     "repro.encoding.incident",
+    "repro.encoding.tokenizer",
     "repro.encoding.windows",
     "repro.llm.faults",
     "repro.llm.induction",
     "repro.llm.profiles",
+    "repro.llm.prompt_io",
     "repro.llm.simulated",
     "repro.llm.timing",
+    "repro.metrics.evaluator",
     "repro.mining.pipeline",
     "repro.mining.ragpipe",
     "repro.mining.sliding",
+    "repro.prompts.examples",
+    "repro.prompts.templates",
+    "repro.rag.embeddings",
     "repro.rag.retriever",
+    "repro.rag.vectorstore",
     "repro.rules.dedup",
     "repro.rules.nl",
     "repro.rules.translator",

@@ -26,7 +26,7 @@ from repro.datasets.snapshot import (
     load_dataset,
     save_dataset,
 )
-from repro.gateway import Gateway, GatewayJobFailed, protocol
+from repro.gateway import Gateway, GatewayJobFailed, GatewayRejected, protocol
 from repro.gateway.admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -513,6 +513,23 @@ class TestGatewayJobTable:
         assert second is first
         assert first.state.value == "queued"
         assert gw.dispatcher.backlog == 1
+
+    def test_resubmit_of_a_tracked_job_costs_no_token(self, tmp_path):
+        policy = AdmissionPolicy(
+            rate_per_client=0.0001, burst_per_client=1.0,
+        )
+        gw = Gateway(
+            cache_dir=tmp_path, workers=1, loader=tiny_dataset,
+            policy=policy,
+        )
+        first = gw.submit(dict(self.PAYLOAD), client="c")
+        assert gw.submit(dict(self.PAYLOAD), client="c") is first
+        with pytest.raises(GatewayRejected) as shed:
+            gw.submit(dict(self.PAYLOAD, base_seed=1), client="c")
+        assert shed.value.decision.reason == "rate_limit"
+        stats = gw.admission.snapshot()
+        assert stats["admitted"] == 1
+        assert stats["shed"]["rate_limit"] == 1
 
     def test_cancel_queued_job(self, tmp_path):
         gw = Gateway(cache_dir=tmp_path, workers=1, loader=tiny_dataset)

@@ -110,3 +110,15 @@ class TestSummaryPipeline:
         second = SummaryPipeline(context).mine("mixtral", "few_shot")
         assert [r.text for r in first.rules] == \
             [r.text for r in second.rules]
+
+    def test_reseeded_pipeline_mines_the_new_seeds_sample(self, context):
+        from repro.mining import run_to_dict
+
+        pipeline = SummaryPipeline(context)
+        pipeline.mine("llama3", "zero_shot")
+        pipeline.base_seed = 7
+        reseeded = pipeline.mine("llama3", "zero_shot")
+        fresh = SummaryPipeline(context, base_seed=7).mine(
+            "llama3", "zero_shot"
+        )
+        assert run_to_dict(reseeded) == run_to_dict(fresh)

@@ -4,6 +4,7 @@ and the content-addressed result cache."""
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro import obs
 from repro.datasets.base import Dataset, DirtReport
 from repro.graph import PropertyGraph
 from repro.llm.faults import TransientLLMError
+from repro.mining import PipelineContext, RAGPipeline, SlidingWindowPipeline
 from repro.mining.persistence import FORMAT_VERSION
 from repro.mining.result import MiningRun
 from repro.service import (
@@ -23,6 +25,7 @@ from repro.service import (
     call_with_retry,
     graph_fingerprint,
 )
+from repro.service.jobs import _CODE_FINGERPRINT_MODULES
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +63,20 @@ SPEC = JobSpec(
 # ----------------------------------------------------------------------
 # job identity
 # ----------------------------------------------------------------------
+#: modules of ``repro.rag``, ``repro.prompts`` and ``repro.encoding`` that
+#: stay out of the code fingerprint, each with the reason its source
+#: cannot change a mined run
+FINGERPRINT_EXEMPT = {
+    "repro.rag": "package init: re-exports only",
+    "repro.prompts": "package init: re-exports only",
+    "repro.encoding": "package init: re-exports only",
+    "repro.encoding.adjacency":
+        "the ablation encoder; the pipelines mine the incident encoding",
+    "repro.encoding.dirty":
+        "watch-mode block invalidation; a mined run never calls it",
+}
+
+
 class TestJobIdentity:
     def test_same_inputs_same_id(self):
         fp_a = graph_fingerprint(build_graph())
@@ -98,6 +115,21 @@ class TestJobIdentity:
     def test_code_change_changes_id(self):
         fp = graph_fingerprint(build_graph())
         assert cache_key(SPEC, fp, "v1") != cache_key(SPEC, fp, "v2")
+
+    def test_code_fingerprint_lists_every_module_a_run_loads(self):
+        context = PipelineContext.build(build_dataset())
+        RAGPipeline(context).mine("llama3", "zero_shot")
+        SlidingWindowPipeline(context).mine("llama3", "zero_shot")
+        loaded = {
+            name for name in sys.modules
+            for package in ("repro.rag", "repro.prompts", "repro.encoding")
+            if name == package or name.startswith(package + ".")
+        }
+        assert "repro.rag.embeddings" in loaded
+        unlisted = loaded - set(_CODE_FINGERPRINT_MODULES)
+        assert unlisted <= set(FINGERPRINT_EXEMPT), sorted(
+            unlisted - set(FINGERPRINT_EXEMPT)
+        )
 
 
 # ----------------------------------------------------------------------

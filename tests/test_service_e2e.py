@@ -1,9 +1,11 @@
 """End-to-end tests for JobRunner: one id and one mining run per spec,
 disk-cache reuse across a process-simulating reload, config-hash
-invalidation, forgetting a republished dataset, and transient-failure
-retry."""
+invalidation, one warm pipeline shared by every seed, forgetting a
+republished dataset, and transient-failure retry."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro import obs
 from repro.datasets.base import Dataset, DirtReport
 from repro.graph import PropertyGraph
 from repro.llm.faults import TransientFaultInjector
+from repro.mining import PipelineContext, RAGPipeline, SlidingWindowPipeline
 from repro.mining.persistence import run_to_dict
 from repro.service import (
     JobRunner,
@@ -154,6 +157,60 @@ class TestForget:
         assert run_to_dict(after.run) == run_to_dict(fresh.run)
         # the other dataset stayed warm: never loaded again
         assert loads.count("other") == other_loads
+
+    def test_forget_re_indexes_only_that_dataset(self, loader):
+        jobs = runner(loader)
+        cells = [spec(), JobSpec("other", "llama3", "rag", "zero_shot")]
+        for cell in cells:
+            jobs.run(cell)
+        collector = obs.install()
+        jobs.forget("tiny")
+        for cell in cells:
+            jobs.run(JobSpec(*cell.cell(), base_seed=1))
+        indexed = {
+            job.attributes["dataset"]: sum(
+                span.name == "rag.index" for span in job.walk()
+            )
+            for job in collector.iter_spans() if job.name == "service.job"
+        }
+        assert indexed == {"tiny": 1, "other": 0}
+
+
+# ----------------------------------------------------------------------
+# one warm pipeline per (dataset, method, chunking), shared by every seed
+# ----------------------------------------------------------------------
+class TestSharedPipelines:
+    def test_every_seed_mines_what_a_fresh_pipeline_mines(self, loader):
+        cells = [
+            (method, seed, top_k)
+            for method in ("rag", "sliding_window")
+            for seed in (0, 1, 7, 1, 0)
+            for top_k in (16, 4)
+        ]
+        random.Random(5).shuffle(cells)
+        context = PipelineContext.build(loader("tiny"))
+        expected = {}
+        for method, seed, top_k in set(cells):
+            if method == "rag":
+                fresh = RAGPipeline(context, top_k=top_k, base_seed=seed)
+            else:
+                fresh = SlidingWindowPipeline(context, base_seed=seed)
+            expected[method, seed, top_k] = run_to_dict(
+                fresh.mine("llama3", "zero_shot")
+            )
+
+        collector = obs.install()
+        jobs = runner(loader)
+        for method, seed, top_k in cells:
+            result = jobs.run(spec(method, base_seed=seed, rag_top_k=top_k))
+            assert run_to_dict(result.run) == expected[method, seed, top_k]
+        # one index and one retrieval per (dataset, chunking), not per seed
+        spans = list(collector.iter_spans())
+        assert sorted(
+            span.attributes["top_k"] for span in spans
+            if span.name == "retrieve"
+        ) == [4, 16]
+        assert sum(span.name == "rag.index" for span in spans) == 2
 
 
 # ----------------------------------------------------------------------

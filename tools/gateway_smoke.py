@@ -7,7 +7,9 @@ verifies the serving contract end to end:
 
 1. every served run is **byte-identical** to mining the same cell with
    an in-process :class:`repro.service.JobRunner` (and the HTTP job ids
-   equal the in-process content addresses);
+   equal the in-process content addresses), for the four zero-shot
+   cells at seed 0 and both RAG cells at seed 1 too, so the fleet and
+   the in-process runner each serve two seeds from one warm pipeline;
 2. re-submitting the slice against a *fresh gateway process* on the
    same cache directory answers entirely from the worker-written cache
    (cross-process cache hits);
@@ -47,6 +49,11 @@ CELLS = (
     ("llama3", "rag"),
     ("mixtral", "sliding_window"),
     ("mixtral", "rag"),
+)
+#: phase 1's (model, method, base_seed) jobs: every cell at seed 0, then
+#: both RAG cells again at seed 1 on the pipelines seed 0 warmed
+SEEDED_CELLS = tuple((model, method, 0) for model, method in CELLS) + tuple(
+    (model, method, 1) for model, method in CELLS if method == "rag"
 )
 
 
@@ -129,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     collector = obs.install()
     cache_dir = Path(tempfile.mkdtemp(prefix="gateway-smoke-"))
     served: dict[str, str] = {}
-    job_ids: dict[tuple[str, str], str] = {}
+    job_ids: dict[tuple[str, str, int], str] = {}
 
     # ------------------------------------------------------------------
     # 1. fleet serving, compared byte-for-byte with in-process mining
@@ -137,25 +144,27 @@ def main(argv: list[str] | None = None) -> int:
     with Gateway(cache_dir=cache_dir, workers=args.workers) as gateway:
         client = GatewayClient(gateway.url, client_id="smoke")
         print(f"gateway up at {gateway.url} ({args.workers} workers)")
-        for model, method in CELLS:
-            job = client.submit(args.dataset, model, method, "zero_shot")
-            job_ids[(model, method)] = str(job["job_id"])
-        for (model, method), job_id in job_ids.items():
+        for model, method, seed in SEEDED_CELLS:
+            job = client.submit(
+                args.dataset, model, method, "zero_shot", base_seed=seed,
+            )
+            job_ids[(model, method, seed)] = str(job["job_id"])
+        for (model, method, seed), job_id in job_ids.items():
             payload = client.result(job_id, timeout=600)
             served[job_id] = json.dumps(payload["run"], sort_keys=True)
             print(
-                f"  served {model}/{method}: source={payload['source']} "
-                f"job={job_id[:12]}"
+                f"  served {model}/{method}/seed {seed}: "
+                f"source={payload['source']} job={job_id[:12]}"
             )
         stats = client.stats()
-        if stats["dispatcher"]["completed"] != len(CELLS):
+        if stats["dispatcher"]["completed"] != len(SEEDED_CELLS):
             return fail(
                 f"fleet completed {stats['dispatcher']['completed']} "
-                f"of {len(CELLS)} jobs"
+                f"of {len(SEEDED_CELLS)} jobs"
             )
         # one connected trace per job: fetch the assembled tree for the
         # first dispatched cell and verify it spans gateway + worker PIDs
-        trace = client.trace(job_ids[CELLS[0]])
+        trace = client.trace(job_ids[SEEDED_CELLS[0]])
         problem = check_fleet_trace(trace)
         if problem:
             return fail(f"fleet trace: {problem}")
@@ -172,21 +181,22 @@ def main(argv: list[str] | None = None) -> int:
     runner = JobRunner(
         retry_policy=RetryPolicy(max_retries=3, base_delay=0.0),
     )
-    for (model, method), job_id in job_ids.items():
+    for (model, method, seed), job_id in job_ids.items():
         local_id, run, *_ = runner.run(
-            JobSpec(args.dataset, model, method, "zero_shot")
+            JobSpec(args.dataset, model, method, "zero_shot", base_seed=seed)
         )
         if local_id != job_id:
             return fail(
-                f"content address mismatch for {model}/{method}: "
-                f"gateway {job_id[:12]} vs in-process {local_id[:12]}"
+                f"content address mismatch for {model}/{method}/seed "
+                f"{seed}: gateway {job_id[:12]} vs in-process "
+                f"{local_id[:12]}"
             )
         if json.dumps(run_to_dict(run), sort_keys=True) != served[job_id]:
             return fail(
                 f"served bytes differ from in-process mining "
-                f"for {model}/{method}"
+                f"for {model}/{method}/seed {seed}"
             )
-    print(f"byte-identical results for all {len(CELLS)} cells")
+    print(f"byte-identical results for all {len(SEEDED_CELLS)} jobs")
 
     # ------------------------------------------------------------------
     # 2. cross-process cache hits from a fresh gateway
