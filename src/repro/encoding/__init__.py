@@ -15,7 +15,6 @@ from repro.encoding.incident import (
 )
 from repro.encoding.tokenizer import (
     count_tokens,
-    count_tokens_many,
     split_tokens,
     token_spans,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "WindowSet",
     "changed_window_indexes",
     "count_tokens",
-    "count_tokens_many",
     "dirty_block_subjects",
     "format_properties",
     "format_value",

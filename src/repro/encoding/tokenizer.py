@@ -5,31 +5,35 @@ The study budgets windows in *LLM tokens* (8,000-token windows with a
 stand-in: words and punctuation become tokens, and long words are split
 into fixed-size pieces, which approximates byte-pair encoding closely
 enough for window-size arithmetic.
+
+No token contains whitespace, so the tokens of a newline-joined text are
+its lines' tokens in turn.  :func:`count_tokens` relies on that: it
+counts a text line by line, and each line's count is memoized, so a
+prompt made of already-counted statements costs one memo hit per line.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from functools import lru_cache
 
 #: Maximum characters per token piece (BPE pieces average ~4-6 chars).
 PIECE_SIZE = 6
 
-_WORD_RE = re.compile(r"\w+|[^\w\s]")
+#: One token: a run of up to ``PIECE_SIZE`` word characters, or one
+#: punctuation character.  The run is greedy, so a longer word is cut
+#: into ``PIECE_SIZE``-character pieces and a shorter remainder.
+_TOKEN_RE = re.compile(rf"\w{{1,{PIECE_SIZE}}}|[^\w\s]")
+
+#: Lines whose counts stay memoized.  Above the largest bundled
+#: dataset's statement count (Twitter, 99,818), so one pass over its
+#: windows cannot evict a statement before its prompt counts it again.
+LINE_MEMO_SIZE = 1 << 17
 
 
 def split_tokens(text: str) -> list[str]:
     """Split ``text`` into deterministic pseudo-BPE tokens."""
-    tokens: list[str] = []
-    for match in _WORD_RE.finditer(text):
-        word = match.group(0)
-        if len(word) <= PIECE_SIZE:
-            tokens.append(word)
-        else:
-            tokens.extend(
-                word[i:i + PIECE_SIZE] for i in range(0, len(word), PIECE_SIZE)
-            )
-    return tokens
+    return _TOKEN_RE.findall(text)
 
 
 def token_spans(text: str) -> list[tuple[int, int]]:
@@ -38,24 +42,16 @@ def token_spans(text: str) -> list[tuple[int, int]]:
     Used by the window chunker to cut windows at token boundaries while
     preserving the original text verbatim (including mid-statement cuts).
     """
-    spans: list[tuple[int, int]] = []
-    for match in _WORD_RE.finditer(text):
-        start, end = match.span()
-        length = end - start
-        if length <= PIECE_SIZE:
-            spans.append((start, end))
-        else:
-            for offset in range(0, length, PIECE_SIZE):
-                piece_start = start + offset
-                spans.append((piece_start, min(piece_start + PIECE_SIZE, end)))
-    return spans
+    return [match.span() for match in _TOKEN_RE.finditer(text)]
+
+
+@lru_cache(maxsize=LINE_MEMO_SIZE)
+def _count_line(line: str) -> int:
+    return len(_TOKEN_RE.findall(line))
 
 
 def count_tokens(text: str) -> int:
-    """Number of pseudo-tokens in ``text``."""
-    return len(split_tokens(text))
-
-
-def count_tokens_many(texts: Iterable[str]) -> int:
-    """Total token count across several strings."""
-    return sum(count_tokens(text) for text in texts)
+    """Number of pseudo-tokens in ``text`` (memoized line by line)."""
+    if "\n" in text:
+        return sum(map(_count_line, text.split("\n")))
+    return _count_line(text)

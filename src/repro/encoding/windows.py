@@ -13,10 +13,12 @@ three datasets).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.encoding.incident import Statement
-from repro.encoding.tokenizer import token_spans
+from repro.encoding.tokenizer import count_tokens, token_spans
 
 #: The paper's operating point (tokens).
 DEFAULT_WINDOW_SIZE = 8000
@@ -25,37 +27,28 @@ DEFAULT_OVERLAP = 500
 
 def statement_token_ranges(
     statements: list["Statement"],
-    spans: list[tuple[int, int]] | None = None,
+    counts: list[int] | None = None,
 ) -> list[tuple[int, int]]:
     """Map each statement to its [first, last] token index range.
 
-    ``spans`` are the token character spans of the newline-joined text;
-    recomputed when not supplied.  Shared by the chunker's fragmentation
-    accounting and the dirty-window invalidation in
-    :mod:`repro.encoding.dirty`.
+    ``counts`` are the statements' token counts; counted when not
+    supplied.  No token spans the joining newline, so each statement's
+    tokens follow the previous statement's.  A statement without tokens
+    gets the index of the token before it (0 at the start).  Shared by
+    the chunker's fragmentation accounting and the dirty-window
+    invalidation in :mod:`repro.encoding.dirty`.
     """
-    if spans is None:
-        text = "\n".join(statement.text for statement in statements)
-        spans = token_spans(text)
-    total = len(spans)
+    if counts is None:
+        counts = [count_tokens(statement.text) for statement in statements]
     ranges: list[tuple[int, int]] = []
-    cursor = 0
-    offset = 0
-    for statement in statements:
-        start_char = offset
-        end_char = offset + len(statement.text)
-        first = None
-        last = None
-        while cursor < total and spans[cursor][0] < end_char:
-            if spans[cursor][1] > start_char:
-                if first is None:
-                    first = cursor
-                last = cursor
-            cursor += 1
-        if first is None:
-            first = last = max(cursor - 1, 0)
-        ranges.append((first, last))
-        offset = end_char + 1  # the joining newline
+    start = 0
+    for count in counts:
+        if count:
+            ranges.append((start, start + count - 1))
+        else:
+            previous = max(start - 1, 0)
+            ranges.append((previous, previous))
+        start += count
     return ranges
 
 
@@ -130,107 +123,74 @@ class SlidingWindowChunker:
     # ------------------------------------------------------------------
     def chunk_statements(self, statements: list[Statement]) -> WindowSet:
         """Chunk a statement list, tracking which statements get broken."""
-        text = "\n".join(statement.text for statement in statements)
-        spans = token_spans(text)
-        total = len(spans)
-        ranges = statement_token_ranges(statements, spans)
-
-        windows = self._build_windows(text, spans)
-        broken = self._find_broken(statements, ranges, windows, total)
-        broken_blocks = self._find_broken_blocks(statements, ranges, windows)
+        texts = [statement.text for statement in statements]
+        counts = [count_tokens(text) for text in texts]
+        ranges = statement_token_ranges(statements, counts)
+        windows = self._build_windows(texts, counts)
+        blocks: list[list] = []  # [subject id, first token, last token]
+        for statement, (first, last) in zip(statements, ranges):
+            if statement.kind == "node":
+                blocks.append([statement.subject_id, first, last])
+            elif blocks:
+                blocks[-1][2] = last
+        # Window k starts at token k * step and windows end in order, so
+        # tokens [first, last] fit in some window iff they fit in the last
+        # window starting at or before ``first``.  With no windows (no
+        # tokens) nothing fits: every ``last`` reaches the sentinel end 0.
+        ends = [window.end_token for window in windows] or [0]
+        step, tail = self.step, len(ends) - 1
         return WindowSet(
             windows=windows,
-            total_tokens=total,
+            total_tokens=sum(counts),
             window_size=self.window_size,
             overlap=self.overlap,
-            broken_statements=broken,
-            broken_blocks=broken_blocks,
-        )
-
-    def chunk_text(self, text: str) -> WindowSet:
-        """Chunk raw text (no statement accounting)."""
-        spans = token_spans(text)
-        windows = self._build_windows(text, spans)
-        return WindowSet(
-            windows=windows,
-            total_tokens=len(spans),
-            window_size=self.window_size,
-            overlap=self.overlap,
+            broken_statements=[
+                statement
+                for statement, (first, last) in zip(statements, ranges)
+                if last >= ends[min(first // step, tail)]
+            ],
+            # incident blocks (node + its edge statements) no window
+            # fully contains: the §4.5 "broken pattern" count
+            broken_blocks=[
+                subject for subject, first, last in blocks
+                if last >= ends[min(first // step, tail)]
+            ],
         )
 
     # ------------------------------------------------------------------
     def _build_windows(
-        self, text: str, spans: list[tuple[int, int]]
+        self, texts: list[str], counts: list[int]
     ) -> list[Window]:
-        total = len(spans)
+        """Cut windows from the statements' token counts.
+
+        Only the statements holding a window's first and last token are
+        tokenized, to find the window's character edges in the joined
+        text.
+        """
+        starts = list(accumulate(counts, initial=0))
+        total = starts[-1]
         if total == 0:
             return []
+        offsets = list(accumulate((len(text) + 1 for text in texts), initial=0))
+        joined = "\n".join(texts)
+
+        def span(token: int) -> tuple[int, int]:
+            """Character span of one token in the joined text."""
+            index = bisect_right(starts, token) - 1
+            begin, end = token_spans(texts[index])[token - starts[index]]
+            return offsets[index] + begin, offsets[index] + end
+
         windows: list[Window] = []
-        start = 0
-        index = 0
-        while True:
+        for index, start in enumerate(range(0, total, self.step)):
             end = min(start + self.window_size, total)
-            char_start = spans[start][0]
-            char_end = spans[end - 1][1]
             windows.append(
                 Window(
                     index=index,
-                    text=text[char_start:char_end],
+                    text=joined[span(start)[0]:span(end - 1)[1]],
                     start_token=start,
                     end_token=end,
                 )
             )
-            if end >= total:
-                return windows
-            start += self.step
-            index += 1
-
-    @staticmethod
-    def _find_broken_blocks(
-        statements: list[Statement],
-        ranges: list[tuple[int, int]],
-        windows: list[Window],
-    ) -> list[str]:
-        """Incident blocks (node + its edge statements) that no window
-        fully contains — the §4.5 "broken pattern" count."""
-        if not windows:
-            return [s.subject_id for s in statements if s.kind == "node"]
-        blocks: list[tuple[str, int, int]] = []
-        current: tuple[str, int, int] | None = None
-        for statement, (first, last) in zip(statements, ranges):
-            if statement.kind == "node":
-                if current is not None:
-                    blocks.append(current)
-                current = (statement.subject_id, first, last)
-            elif current is not None:
-                current = (current[0], current[1], last)
-        if current is not None:
-            blocks.append(current)
-        broken: list[str] = []
-        for subject_id, first, last in blocks:
-            contained = any(
-                window.start_token <= first and last < window.end_token
-                for window in windows
-            )
-            if not contained:
-                broken.append(subject_id)
-        return broken
-
-    @staticmethod
-    def _find_broken(
-        statements: list[Statement],
-        ranges: list[tuple[int, int]],
-        windows: list[Window],
-        total_tokens: int,
-    ) -> list[Statement]:
-        if not windows:
-            return list(statements)
-        broken: list[Statement] = []
-        for statement, (first, last) in zip(statements, ranges):
-            contained = any(
-                window.start_token <= first and last < window.end_token
-                for window in windows
-            )
-            if not contained:
-                broken.append(statement)
-        return broken
+            if end == total:
+                break
+        return windows

@@ -123,6 +123,11 @@ def parse_submit(
                 f"field {field!r} must be in [{low}, {high}], got {value}"
             )
         knobs[field] = value
+    if knobs["overlap"] >= knobs["window_size"]:
+        raise ProtocolError(
+            f"field 'overlap' must be below 'window_size' "
+            f"({knobs['window_size']}), got {knobs['overlap']}"
+        )
     traceparent = payload.get("traceparent")
     if traceparent is not None and not isinstance(traceparent, str):
         raise ProtocolError("field 'traceparent' must be a string")

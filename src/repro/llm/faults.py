@@ -33,6 +33,7 @@ from repro.cypher.ast_nodes import (
     SingleQuery,
     Variable,
 )
+from repro.cypher.errors import CypherError
 from repro.cypher.parser import parse
 from repro.cypher.render import render_query
 from repro.llm.profiles import ModelProfile
@@ -58,7 +59,7 @@ def flip_first_direction(query_text: str) -> Optional[str]:
     """Reverse the first directed relationship in the query, or None."""
     try:
         query = parse(query_text)
-    except Exception:
+    except CypherError:
         return None
     if not isinstance(query, SingleQuery):
         return None
@@ -163,7 +164,7 @@ def inject_unsat_fault(
     """
     try:
         query = parse(query_text)
-    except Exception:
+    except CypherError:
         return None
     if not isinstance(query, SingleQuery):
         return None

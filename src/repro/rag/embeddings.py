@@ -46,11 +46,16 @@ class HashedEmbedder:
         return slot
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed one text into a unit-norm vector (zero vector if empty)."""
-        vector = np.zeros(self.dimension, dtype=np.float64)
-        for token in split_tokens(text):
-            bucket, sign = self._token_slot(token)
-            vector[bucket] += sign
+        """Embed one text into a unit-norm vector (zero vector if empty).
+
+        A bucket is a sum of ±1.0 signs, exact in float64 in any order,
+        so one ``bincount`` gives the bits a token-by-token sum would.
+        """
+        slots = [self._token_slot(token) for token in split_tokens(text)]
+        if not slots:
+            return np.zeros(self.dimension, dtype=np.float64)
+        buckets, signs = zip(*slots)
+        vector = np.bincount(buckets, weights=signs, minlength=self.dimension)
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.encoding.incident import Statement
-from repro.encoding.tokenizer import count_tokens
+from repro.encoding.tokenizer import split_tokens
 from repro.rag.embeddings import HashedEmbedder
 from repro.rag.vectorstore import ScoredChunk, VectorStore
 
@@ -74,7 +74,8 @@ class GraphRetriever:
             current: list[str] = []
             current_tokens = 0
             for statement in statements:
-                statement_tokens = count_tokens(statement.text)
+                # counted once per index: the line memo would only fill
+                statement_tokens = len(split_tokens(statement.text))
                 if current and current_tokens + statement_tokens > self.chunk_tokens:
                     chunks.append("\n".join(current))
                     current = []

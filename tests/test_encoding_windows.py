@@ -110,10 +110,3 @@ class TestFragmentation:
         assert windows.window_count > 1
         assert windows.broken_pattern_count >= 1
         assert "hub" in windows.broken_blocks
-
-    def test_chunk_text_mode(self):
-        chunker = SlidingWindowChunker(window_size=10, overlap=2)
-        windows = chunker.chunk_text("one two three four five six seven "
-                                     "eight nine ten eleven twelve")
-        assert windows.window_count == 2
-        assert windows.broken_statement_count == 0  # no statement info

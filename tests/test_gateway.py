@@ -270,6 +270,15 @@ class TestProtocol:
         with pytest.raises(protocol.ProtocolError):
             protocol.parse_submit(self.valid_payload(**{field: value}))
 
+    @pytest.mark.parametrize("window_size,overlap", [(64, 100), (64, 64)])
+    def test_overlap_must_be_below_window_size(self, window_size, overlap):
+        # each knob is in bounds on its own; the chunker rejects the pair
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.parse_submit(self.valid_payload(
+                window_size=window_size, overlap=overlap,
+            ))
+        assert "overlap" in str(excinfo.value)
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(protocol.ProtocolError) as excinfo:
             protocol.parse_submit(self.valid_payload(sudo=True))

@@ -18,6 +18,7 @@ from repro.llm import (
     inject_syntax_fault,
     maybe_inject,
 )
+from repro.llm.faults import inject_unsat_fault
 from repro.llm.timing import LatencyModel
 from repro.prompts import cypher_prompt, few_shot_prompt, zero_shot_prompt
 from repro.prompts.examples import examples_text
@@ -84,6 +85,23 @@ class TestFaults:
         assert flip_first_direction(
             "MATCH (a)-[:R]-(b) RETURN a"
         ) is None
+
+    def test_unparseable_query_is_not_flipped(self):
+        assert flip_first_direction("MATCH (a RETURN") is None
+        assert inject_unsat_fault("MATCH (a RETURN", random.Random(0)) is None
+
+    def test_parser_bug_is_not_mistaken_for_bad_syntax(self, monkeypatch):
+        from repro.llm import faults
+
+        def broken_parse(text):
+            raise RuntimeError("parser bug")
+
+        monkeypatch.setattr(faults, "parse", broken_parse)
+        query = "MATCH (a:User)-[:POSTS]->(b:Tweet) RETURN count(*) AS c"
+        with pytest.raises(RuntimeError, match="parser bug"):
+            flip_first_direction(query)
+        with pytest.raises(RuntimeError, match="parser bug"):
+            inject_unsat_fault(query, random.Random(0))
 
     def test_syntax_fault_regex_equals(self):
         rng = random.Random(0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.encoding import IncidentEncoder, count_tokens
+from repro.encoding.tokenizer import _count_line
 from repro.rag import (
     GraphRetriever,
     HashedEmbedder,
@@ -110,6 +111,14 @@ class TestGraphRetriever:
             assert count_tokens(chunk) <= 50 + max(
                 count_tokens(s.text) for s in statements
             )
+
+    def test_indexing_leaves_the_line_memo_alone(self, social_graph):
+        # an index counts each statement once, so memoizing those counts
+        # would only fill the memo that prompt counts rely on
+        statements = IncidentEncoder().encode(social_graph)
+        before = _count_line.cache_info()
+        GraphRetriever(chunk_tokens=30).index_statements(statements)
+        assert _count_line.cache_info() == before
 
     def test_retrieve_returns_context(self, social_graph):
         statements = IncidentEncoder().encode(social_graph)
