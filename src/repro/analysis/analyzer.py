@@ -17,7 +17,7 @@ from repro.analysis.dataflow import analyze_query_dataflow
 from repro.analysis.findings import AnalysisReport, Finding, Verdict
 from repro.analysis.satisfiability import analyze_satisfiability
 from repro.analysis.typecheck import analyze_types
-from repro.cypher import CypherError, parse
+from repro.cypher import CypherError, parse_cached
 from repro.graph.schema import GraphSchema
 
 _CACHE_SIZE = 512
@@ -100,7 +100,7 @@ class StaticAnalyzer:
     # ------------------------------------------------------------------
     def _analyze_uncached(self, query_text: str) -> AnalysisReport:
         try:
-            query = parse(query_text)
+            query = parse_cached(query_text)
         except CypherError as exc:
             return AnalysisReport(
                 query_text=query_text,

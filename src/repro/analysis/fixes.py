@@ -35,7 +35,7 @@ from repro.analysis.dataflow import analyze_query_dataflow, iter_variables
 from repro.analysis.findings import AnalysisReport, Verdict
 from repro.analysis.satisfiability import ClauseAnalyzer, flatten_and
 from repro.analysis.typecheck import TypeChecker
-from repro.cypher import CypherError, parse
+from repro.cypher import CypherError, parse_cached
 from repro.cypher.ast_nodes import (
     BinaryOp,
     Expression,
@@ -129,7 +129,7 @@ class FixSynthesizer:
         if report is None:
             report = self.analyzer.analyze(query_text)
         try:
-            query = parse(query_text)
+            query = parse_cached(query_text)
         except CypherError:
             return []                # nothing mechanical fixes a parse error
         if not isinstance(query, SingleQuery):
@@ -281,7 +281,7 @@ class FixSynthesizer:
 
     def _bad_triple_count(self, query_text: str) -> int:
         try:
-            query = parse(query_text)
+            query = parse_cached(query_text)
         except CypherError:
             return 0
         if not isinstance(query, SingleQuery):

@@ -39,7 +39,7 @@ from repro.analysis.satisfiability import (
     _values_equal,
     flatten_and,
 )
-from repro.cypher import CypherError, parse
+from repro.cypher import CypherError, parse_cached
 from repro.cypher.ast_nodes import (
     Expression,
     MatchClause,
@@ -87,7 +87,7 @@ def query_parts(query_text: str) -> Optional[QueryParts]:
     else (UNION, WITH, OPTIONAL, mutations) is conservatively refused.
     """
     try:
-        query = parse(query_text)
+        query = parse_cached(query_text)
     except CypherError:
         return None
     if not isinstance(query, SingleQuery):

@@ -25,7 +25,7 @@ from repro.cypher.linter import (
     lint,
     looks_like_regex,
 )
-from repro.cypher.parser import parse
+from repro.cypher.parser import parse, parse_cached
 from repro.cypher.planner import (
     QueryPlan,
     QueryPlanner,
@@ -52,6 +52,7 @@ __all__ = [
     "lint",
     "looks_like_regex",
     "parse",
+    "parse_cached",
     "render_expression",
     "render_query",
     "tokenize",

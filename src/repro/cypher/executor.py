@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from repro import obs
@@ -45,7 +44,7 @@ from repro.cypher.errors import (
 from repro.cypher.evaluator import EvalContext, contains_aggregate, evaluate
 from repro.cypher.functions import aggregate, is_aggregate
 from repro.cypher.matcher import MatchStats, Path, match_patterns
-from repro.cypher.parser import parse
+from repro.cypher.parser import parse_cached
 from repro.cypher.planner import QueryPlanner
 from repro.graph.model import Edge, Node
 from repro.graph.store import PropertyGraph
@@ -800,15 +799,6 @@ class _InvertedKey:
         return isinstance(other, _InvertedKey) and self.key == other.key
 
 
-@lru_cache(maxsize=512)
-def _parse_cached(query_text: str) -> Query:
-    """Parse with memoization (ASTs are immutable, so sharing is safe).
-
-    Raising parses are not cached — ``lru_cache`` only stores returns.
-    """
-    return parse(query_text)
-
-
 _WRITE_CLAUSES = (
     CreateClause, MergeClause, SetClause, RemoveClause, DeleteClause,
 )
@@ -868,7 +858,7 @@ def execute(
             outcome = "hit"
             result = QueryResult(list(cached.columns), _copy(cached.rows))
         else:
-            query = _parse_cached(query_text)
+            query = parse_cached(query_text)
             result = Executor(graph, parameters).run(query)
             outcome = "bypass" if memo is None or _writes(query) else "miss"
             # stored only if the memo is still current: no epoch moved

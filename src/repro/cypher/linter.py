@@ -56,7 +56,7 @@ from repro.cypher.ast_nodes import (
     WithClause,
 )
 from repro.cypher.errors import CypherSyntaxError
-from repro.cypher.parser import parse
+from repro.cypher.parser import parse_cached
 from repro.graph.schema import GraphSchema
 
 
@@ -117,7 +117,7 @@ class Linter:
     def lint(self, query_text: str) -> LintReport:
         report = LintReport(query_text=query_text)
         try:
-            query = parse(query_text)
+            query = parse_cached(query_text)
         except CypherSyntaxError as exc:
             report.parse_failed = True
             report.issues.append(

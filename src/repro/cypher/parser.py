@@ -18,6 +18,7 @@ postfix (property access / indexing), atom.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.cypher.ast_nodes import (
@@ -823,3 +824,14 @@ def parse(text: str) -> Query:
     if not text or not text.strip():
         raise CypherSyntaxError("empty query")
     return Parser(text.strip().rstrip(";")).parse()
+
+
+@lru_cache(maxsize=512)
+def parse_cached(text: str) -> Query:
+    """:func:`parse`, memoized on the text.
+
+    The AST nodes are frozen, so every caller of one text can share one
+    tree.  Raising parses are not cached — ``lru_cache`` only stores
+    returns.
+    """
+    return parse(text)

@@ -4,7 +4,6 @@ from repro.encoding.adjacency import AdjacencyEncoder
 from repro.encoding.dirty import (
     changed_window_indexes,
     dirty_block_subjects,
-    invalidated_windows,
     refresh_statements,
 )
 from repro.encoding.incident import (
@@ -47,7 +46,6 @@ __all__ = [
     "dirty_block_subjects",
     "format_properties",
     "format_value",
-    "invalidated_windows",
     "refresh_statements",
     "split_tokens",
     "statement_token_ranges",

@@ -11,20 +11,19 @@ small, computable set of blocks —
 * node removal → the block disappears (incident edges cascade as their
   own edge deltas first).
 
-Given a delta batch this module answers two questions: which windows of
-the previous :class:`~repro.encoding.windows.WindowSet` are invalidated
-(:func:`invalidated_windows`), and what the refreshed statement list is
-without re-encoding clean blocks (:func:`refresh_statements` — guaranteed
-value-identical to a full ``encoder.encode(graph)``).  After re-chunking,
-:func:`changed_window_indexes` gives the exact set of windows whose text
-changed, i.e. the only ones continuous mining must prompt again.
+Given a delta batch this module answers what the refreshed statement
+list is without re-encoding clean blocks (:func:`refresh_statements` —
+guaranteed value-identical to a full ``encoder.encode(graph)``).  After
+re-chunking, :func:`changed_window_indexes` gives the exact set of
+windows whose text changed, i.e. the only ones continuous mining must
+prompt again.
 """
 
 from __future__ import annotations
 
 from repro import obs
 from repro.encoding.incident import IncidentEncoder, Statement
-from repro.encoding.windows import WindowSet, statement_token_ranges
+from repro.encoding.windows import WindowSet
 from repro.graph.changelog import DeltaKind, GraphDelta
 from repro.graph.store import PropertyGraph
 
@@ -64,42 +63,6 @@ def _block_spans(statements: list[Statement]) -> dict[str, tuple[int, int]]:
         elif current is not None:
             spans[current] = (spans[current][0], index)
     return spans
-
-
-def invalidated_windows(
-    window_set: WindowSet,
-    statements: list[Statement],
-    deltas: list[GraphDelta],
-) -> list[int]:
-    """Window indexes the delta batch invalidates, sorted.
-
-    Windows overlapping a dirty or removed block's token range are
-    invalid; blocks with no prior position (new nodes append at the
-    encoding's tail) invalidate the final window.  This is a prediction
-    over the *old* window set — after refreshing and re-chunking,
-    :func:`changed_window_indexes` is the authoritative answer.
-    """
-    if not window_set.windows:
-        return []
-    dirty, removed = dirty_block_subjects(deltas)
-    subjects = dirty | removed
-    if not subjects:
-        return []
-    ranges = statement_token_ranges(statements)
-    blocks = _block_spans(statements)
-    invalid: set[int] = set()
-    tail_index = window_set.windows[-1].index
-    for subject in sorted(subjects):
-        span = blocks.get(subject)
-        if span is None:
-            invalid.add(tail_index)  # appended block: tail window grows
-            continue
-        first = ranges[span[0]][0]
-        last = ranges[span[1]][1]
-        for window in window_set.windows:
-            if window.start_token <= last and first < window.end_token:
-                invalid.add(window.index)
-    return sorted(invalid)
 
 
 def changed_window_indexes(old: WindowSet, new: WindowSet) -> list[int]:

@@ -34,7 +34,7 @@ from repro.cypher.ast_nodes import (
     Variable,
 )
 from repro.cypher.errors import CypherError
-from repro.cypher.parser import parse
+from repro.cypher.parser import parse_cached
 from repro.cypher.render import render_query
 from repro.llm.profiles import ModelProfile
 
@@ -58,7 +58,7 @@ class InjectionResult:
 def flip_first_direction(query_text: str) -> Optional[str]:
     """Reverse the first directed relationship in the query, or None."""
     try:
-        query = parse(query_text)
+        query = parse_cached(query_text)
     except CypherError:
         return None
     if not isinstance(query, SingleQuery):
@@ -163,7 +163,7 @@ def inject_unsat_fault(
     * ``v.key > hi AND v.key < lo`` — an empty interval.
     """
     try:
-        query = parse(query_text)
+        query = parse_cached(query_text)
     except CypherError:
         return None
     if not isinstance(query, SingleQuery):
@@ -259,8 +259,8 @@ class TransientFaultInjector:
 
     Used as a pipeline ``llm_middleware``: calling the injector with an
     LLM client wraps it in a :class:`FlakyLLM` sharing this budget, so a
-    bounded burst of transient failures spans retries (and replicas)
-    regardless of which wrapped client receives the next call.
+    bounded burst of transient failures spans retries regardless of
+    which wrapped client receives the next call.
     """
 
     def __init__(

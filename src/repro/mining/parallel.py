@@ -4,40 +4,27 @@
 parallelizing the prompting process (e.g., distributing different parts
 of the graph to multiple LLMs)."
 
-This pipeline does exactly that: the windows are distributed round-robin
-over ``workers`` simulated LLM replicas, each draining its share on a
-real thread of its own.  Each replica accumulates its own simulated
-clock; the mining wall time is the *makespan* (the slowest replica), so
-the speedup over the sequential pipeline approaches the worker count for
-large graphs.  Rule combination is unchanged — the per-window
-completions are unioned exactly as in §3.1.1, in window order, so a
-parallel run's rules are text-identical to the sequential run's.
+This pipeline models that deployment: the windows are distributed
+round-robin over ``workers`` LLM replicas.  A simulated completion
+depends only on the seed and the prompt, so every replica would answer
+its windows exactly as the sequential run does; the pipeline therefore
+runs the sequential window loop once, with the sequential seed, and
+re-times it.  Each replica's time is the sum of its windows' latencies
+in window order; the mining wall time is the *makespan* (the slowest
+replica), so the speedup over the sequential pipeline approaches the
+worker count for large graphs.  Rules, Cypher step and metrics are the
+sequential run's.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
-from repro.encoding.windows import (
-    DEFAULT_OVERLAP,
-    DEFAULT_WINDOW_SIZE,
-    SlidingWindowChunker,
-    WindowSet,
-)
-from repro.llm.base import SimulatedClock
-from repro.llm.profiles import get_profile
-from repro.llm.simulated import SimulatedLLM
-from repro.mining.pipeline import (
-    BasePipeline,
-    PipelineContext,
-    combine_and_cap,
-    run_seed,
-)
+from repro.encoding.windows import DEFAULT_OVERLAP, DEFAULT_WINDOW_SIZE
+from repro.mining.pipeline import PipelineContext
 from repro.mining.result import MiningRun
-from repro.prompts.examples import examples_text
-from repro.prompts.templates import few_shot_prompt, zero_shot_prompt
+from repro.mining.sliding import SlidingWindowPipeline
 
 
 @dataclass
@@ -47,13 +34,14 @@ class WorkerReport:
     worker_id: int
     windows: int = 0
     seconds: float = 0.0
-    clock: SimulatedClock = field(default_factory=SimulatedClock)
 
 
-class ParallelSlidingWindowPipeline(BasePipeline):
+class ParallelSlidingWindowPipeline(SlidingWindowPipeline):
     """Round-robin window distribution across N simulated LLM replicas."""
 
     method = "parallel_sliding_window"
+    #: a replica answers a window exactly as the sequential run's LLM
+    seed_method = SlidingWindowPipeline.method
 
     def __init__(
         self,
@@ -65,177 +53,49 @@ class ParallelSlidingWindowPipeline(BasePipeline):
         refine_budget: int = 0,
     ) -> None:
         super().__init__(
-            context, base_seed=base_seed, refine_budget=refine_budget
+            context, window_size=window_size, overlap=overlap,
+            base_seed=base_seed, refine_budget=refine_budget,
         )
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.workers = workers
-        self.chunker = SlidingWindowChunker(
-            window_size=window_size, overlap=overlap
-        )
-        self._window_set: WindowSet | None = None
-
-    @property
-    def window_set(self) -> WindowSet:
-        if self._window_set is None:
-            self._window_set = self.chunker.chunk_statements(
-                self.context.statements
-            )
-        return self._window_set
-
-    def warm(self) -> None:
-        """Chunk the windows now instead of on the first ``mine()``."""
-        self.window_set
+        self.worker_reports: list[WorkerReport] = []
 
     # ------------------------------------------------------------------
     def mine(self, model: str, prompt_mode: str) -> MiningRun:
-        profile = get_profile(model)
+        llm, _clock = self.make_llm(model, prompt_mode)
         windows = self.window_set
-        # one replica per worker; each replica is seeded like the
-        # sequential pipeline so a window's completion is *identical* to
-        # the sequential run's — parallelism must not change the rules
-        replicas: list[SimulatedLLM] = []
-        reports: list[WorkerReport] = []
-        for worker_id in range(self.workers):
-            clock = SimulatedClock()
-            replica = SimulatedLLM(
-                profile=profile,
-                seed=run_seed(
-                    self.context.name, profile.name, "sliding_window",
-                    prompt_mode, base_seed=self.base_seed,
-                ),
-                clock=clock,
-            )
-            if self.llm_middleware is not None:
-                replica = self.llm_middleware(replica)
-            replicas.append(replica)
-            reports.append(WorkerReport(worker_id=worker_id, clock=clock))
-
-        run = MiningRun(
-            dataset=self.context.name,
-            model=profile.name,
-            method=self.method,
-            prompt_mode=prompt_mode,
-            window_count=windows.window_count,
-            broken_statements=windows.broken_statement_count,
-            broken_patterns=windows.broken_pattern_count,
-        )
-
-        examples = examples_text() if prompt_mode == "few_shot" else None
         with obs.span(
             "mine.parallel_sliding_window",
-            dataset=self.context.name, model=profile.name,
+            dataset=self.context.name, model=llm.name,
             prompt_mode=prompt_mode, workers=self.workers,
             windows=windows.window_count,
         ) as mine_span:
-            # real worker threads, one per replica; each carries the
-            # mine span's trace context across the thread hop so the
-            # run still records a single connected span tree
-            context = obs.capture()
-            assignments: list[list[tuple[int, object]]] = [
-                [] for _ in range(self.workers)
-            ]
-            for position, window in enumerate(windows.windows):
-                assignments[window.index % self.workers].append(
-                    (position, window)
-                )
-            per_window_rules: list[list] = [
-                [] for _ in windows.windows
-            ]
-            errors: list[BaseException] = []
-
-            def drain(worker: int) -> None:
-                replica = replicas[worker]
-                report = reports[worker]
-                with context.attach():
-                    try:
-                        for position, window in assignments[worker]:
-                            if examples is not None:
-                                prompt = few_shot_prompt(
-                                    window.text, examples
-                                )
-                            else:
-                                prompt = zero_shot_prompt(window.text)
-                            with obs.span(
-                                "window",
-                                index=window.index, worker=worker,
-                            ) as sp:
-                                completion = replica.complete(prompt)
-                                report.windows += 1
-                                rules = self.parse_completion(
-                                    completion.text,
-                                    provenance=(
-                                        f"{profile.name}/worker-{worker}/"
-                                        f"window-{window.index}"
-                                    ),
-                                )
-                                sp.set_attribute("rules", len(rules))
-                            per_window_rules[position] = rules
-                    except BaseException as error:  # re-raised below
-                        errors.append(error)
-
-            threads = [
-                threading.Thread(
-                    target=drain, args=(worker,),
-                    name=f"mine-parallel-{worker}", daemon=True,
-                )
-                for worker in range(self.workers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
+            run = self._new_run(llm.name, prompt_mode)
+            per_window_rules, latencies = self.prompt_windows(
+                llm, prompt_mode
+            )
+            reports = [WorkerReport(worker) for worker in range(self.workers)]
+            for window, latency in zip(windows.windows, latencies):
+                report = reports[window.index % self.workers]
+                report.windows += 1
+                report.seconds += latency
             for report in reports:
-                report.seconds = report.clock.elapsed_seconds
                 # one summary span per replica: its share of the windows
-                # and the simulated seconds its clock accumulated
+                # and the simulated seconds it would spend on them
                 with obs.span(
                     "worker",
                     worker_id=report.worker_id, windows=report.windows,
                 ) as sp:
                     sp.add_sim_time(report.seconds)
-
             # makespan: the run finishes when the slowest replica does
-            run.mining_seconds = max(
-                (report.seconds for report in reports), default=0.0
-            )
+            run.mining_seconds = max(report.seconds for report in reports)
             self.worker_reports = reports
 
-            combined = combine_and_cap(
-                per_window_rules, profile, prompt_mode,
-                self.run_rng(profile.name, prompt_mode),
-            )
-            # the second (Cypher) step is small; run it on replica 0.
-            # Same semantic dedup as the sequential pipeline — rule
-            # selection must be identical either way.
-            self.translate_and_score(
-                run, self.semantic_dedup(combined.rules), replicas[0]
-            )
-            # translate_and_score credited replica 0's clock only; the
-            # run's totals span every replica
-            run.llm_calls = sum(r.clock.calls for r in replicas)
-            run.prompt_tokens = sum(r.clock.prompt_tokens for r in replicas)
-            run.completion_tokens = sum(
-                r.clock.completion_tokens for r in replicas
-            )
+            self.finish(run, per_window_rules, llm, prompt_mode)
             mine_span.set_attribute("rules", run.rule_count)
             mine_span.add_sim_time(run.mining_seconds + run.cypher_seconds)
         return run
-
-    def run_rng(self, model_name: str, prompt_mode: str):
-        """Use the sequential pipeline's combination RNG so a parallel
-        run selects exactly the same rules — parallelism is a pure
-        latency optimisation, never a behaviour change."""
-        import random
-
-        return random.Random(
-            run_seed(
-                self.context.name, model_name, "sliding_window",
-                prompt_mode, "combine", base_seed=self.base_seed,
-            )
-        )
 
     # ------------------------------------------------------------------
     def speedup_over_sequential(self, run: MiningRun) -> float:

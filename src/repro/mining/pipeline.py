@@ -1,10 +1,11 @@
 """Shared pipeline machinery (Figure 1).
 
-Both encoding strategies share everything but *how the graph text reaches
-the LLM*: the :class:`PipelineContext` (graph, schema, encoded
-statements, built once per dataset), the combination of per-call rules
-into a final set, the second LLM step translating each rule to Cypher,
-the §4.4 correction, and the metric evaluation.
+Every pipeline shares everything but *how the graph text reaches the
+LLM*: the :class:`PipelineContext` (graph, schema, encoded statements,
+built once per dataset), the rule prompt, and one finishing path
+(:meth:`BasePipeline.finish`) — the combination of per-call rules into
+a final set, semantic dedup, the second LLM step translating each rule
+to Cypher, the §4.4 correction, and the metric evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from repro.llm.simulated import SimulatedLLM
 from repro.metrics.definitions import RuleMetrics
 from repro.metrics.evaluator import evaluate_rule
 from repro.mining.result import MiningRun, RuleResult
-from repro.prompts.templates import cypher_prompt
+from repro.prompts.examples import examples_text
+from repro.prompts.templates import (
+    cypher_prompt,
+    few_shot_prompt,
+    zero_shot_prompt,
+)
 from repro.refine import RefineLoop
 from repro.refine.loop import TARGET_CODES
 from repro.rules.dedup import deduplicate, merge_property_exists, prune_implied
@@ -219,6 +225,9 @@ class BasePipeline:
     """Steps 2-4 of the pipeline; subclasses implement rule mining."""
 
     method = "base"
+    #: the method in the run-seed coordinates of the LLM and combination
+    #: RNG; a pipeline that only re-times another's run seeds like it
+    seed_method: str | None = None
 
     def __init__(
         self,
@@ -260,7 +269,8 @@ class BasePipeline:
         llm = SimulatedLLM(
             profile=profile,
             seed=run_seed(
-                self.context.name, profile.name, self.method, prompt_mode,
+                self.context.name, profile.name,
+                self.seed_method or self.method, prompt_mode,
                 base_seed=self.base_seed,
             ),
             clock=clock,
@@ -272,7 +282,8 @@ class BasePipeline:
     def run_rng(self, model_name: str, prompt_mode: str) -> random.Random:
         return random.Random(
             run_seed(
-                self.context.name, model_name, self.method, prompt_mode,
+                self.context.name, model_name,
+                self.seed_method or self.method, prompt_mode,
                 "combine", base_seed=self.base_seed,
             )
         )
@@ -280,6 +291,29 @@ class BasePipeline:
     # ------------------------------------------------------------------
     def mine(self, model: str, prompt_mode: str) -> MiningRun:
         raise NotImplementedError
+
+    @staticmethod
+    def rule_prompt(text: str, prompt_mode: str) -> str:
+        """The zero- or few-shot rule-mining prompt over ``text``."""
+        if prompt_mode == FEW_SHOT:
+            return few_shot_prompt(text, examples_text())
+        return zero_shot_prompt(text)
+
+    def finish(
+        self,
+        run: MiningRun,
+        per_call_rules: list[list[ConsistencyRule]],
+        llm: SimulatedLLM,
+        prompt_mode: str,
+    ) -> None:
+        """§3.1.1's tail: combine, semantic dedup, translate and score."""
+        combined = combine_and_cap(
+            per_call_rules, llm.profile, prompt_mode,
+            self.run_rng(llm.name, prompt_mode),
+        )
+        self.translate_and_score(
+            run, self.semantic_dedup(combined.rules), llm
+        )
 
     # ------------------------------------------------------------------
     def semantic_dedup(

@@ -11,10 +11,8 @@ weaker rules (§4.5).
 from __future__ import annotations
 
 from repro import obs
-from repro.mining.pipeline import BasePipeline, PipelineContext, combine_and_cap
+from repro.mining.pipeline import BasePipeline, PipelineContext
 from repro.mining.result import MiningRun
-from repro.prompts.examples import examples_text
-from repro.prompts.templates import few_shot_prompt, zero_shot_prompt
 from repro.rag.retriever import (
     DEFAULT_CHUNK_TOKENS,
     DEFAULT_TOP_K,
@@ -85,23 +83,15 @@ class RAGPipeline(BasePipeline):
                 total_chunks=retrieval.chunk_count,
             )
 
-            if prompt_mode == "few_shot":
-                prompt = few_shot_prompt(retrieval.context, examples_text())
-            else:
-                prompt = zero_shot_prompt(retrieval.context)
-            completion = llm.complete(prompt)
+            completion = llm.complete(
+                self.rule_prompt(retrieval.context, prompt_mode)
+            )
             run.mining_seconds = clock.elapsed_seconds
 
             rules = self.parse_completion(
                 completion.text, provenance=f"{llm.name}/rag"
             )
-            combined = combine_and_cap(
-                [rules], llm.profile, prompt_mode,
-                self.run_rng(llm.name, prompt_mode),
-            )
-            self.translate_and_score(
-                run, self.semantic_dedup(combined.rules), llm
-            )
+            self.finish(run, [rules], llm, prompt_mode)
             mine_span.set_attribute("rules", run.rule_count)
             mine_span.set_attribute("retrieved_chunks", len(retrieval.hits))
             mine_span.add_sim_time(clock.elapsed_seconds)

@@ -43,7 +43,7 @@ class MiningRun:
     broken_patterns: int = 0         # incident blocks split (§4.5 counts)
     retrieved_chunks: int = 0        # RAG only
     total_chunks: int = 0            # RAG only
-    llm_calls: int = 0               # both LLM steps, all replicas
+    llm_calls: int = 0               # both LLM steps
     prompt_tokens: int = 0           # total prompt tokens sent
     completion_tokens: int = 0       # total completion tokens received
 

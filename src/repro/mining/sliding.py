@@ -15,10 +15,10 @@ from repro.encoding.windows import (
     SlidingWindowChunker,
     WindowSet,
 )
-from repro.mining.pipeline import BasePipeline, PipelineContext, combine_and_cap
+from repro.llm.simulated import SimulatedLLM
+from repro.mining.pipeline import BasePipeline, PipelineContext
 from repro.mining.result import MiningRun
-from repro.prompts.examples import examples_text
-from repro.prompts.templates import few_shot_prompt, zero_shot_prompt
+from repro.rules.model import ConsistencyRule
 
 
 class SlidingWindowPipeline(BasePipeline):
@@ -64,43 +64,49 @@ class SlidingWindowPipeline(BasePipeline):
             dataset=self.context.name, model=llm.name,
             prompt_mode=prompt_mode, windows=windows.window_count,
         ) as mine_span:
-            run = MiningRun(
-                dataset=self.context.name,
-                model=llm.name,
-                method=self.method,
-                prompt_mode=prompt_mode,
-                window_count=windows.window_count,
-                broken_statements=windows.broken_statement_count,
-                broken_patterns=windows.broken_pattern_count,
+            run = self._new_run(llm.name, prompt_mode)
+            per_window_rules, _latencies = self.prompt_windows(
+                llm, prompt_mode
             )
-
-            examples = examples_text() if prompt_mode == "few_shot" else None
-            per_window_rules = []
-            for window in windows.windows:
-                if examples is not None:
-                    prompt = few_shot_prompt(window.text, examples)
-                else:
-                    prompt = zero_shot_prompt(window.text)
-                with obs.span("window", index=window.index) as sp:
-                    completion = llm.complete(prompt)
-                    rules = self.parse_completion(
-                        completion.text,
-                        provenance=f"{llm.name}/window-{window.index}",
-                    )
-                    sp.set_attribute("rules", len(rules))
-                per_window_rules.append(rules)
-                obs.inc("mining.windows_prompted", model=llm.name)
             run.mining_seconds = clock.elapsed_seconds
-
-            combined = combine_and_cap(
-                per_window_rules,
-                llm.profile,
-                prompt_mode,
-                self.run_rng(llm.name, prompt_mode),
-            )
-            self.translate_and_score(
-                run, self.semantic_dedup(combined.rules), llm
-            )
+            self.finish(run, per_window_rules, llm, prompt_mode)
             mine_span.set_attribute("rules", run.rule_count)
             mine_span.add_sim_time(clock.elapsed_seconds)
         return run
+
+    def _new_run(self, model_name: str, prompt_mode: str) -> MiningRun:
+        """An empty run record carrying the window accounting."""
+        windows = self.window_set
+        return MiningRun(
+            dataset=self.context.name,
+            model=model_name,
+            method=self.method,
+            prompt_mode=prompt_mode,
+            window_count=windows.window_count,
+            broken_statements=windows.broken_statement_count,
+            broken_patterns=windows.broken_pattern_count,
+        )
+
+    def prompt_windows(
+        self, llm: SimulatedLLM, prompt_mode: str
+    ) -> tuple[list[list[ConsistencyRule]], list[float]]:
+        """Prompt every window in order.
+
+        Returns each window's rules and its completion's simulated
+        latency, both in window order.
+        """
+        per_window_rules: list[list[ConsistencyRule]] = []
+        latencies: list[float] = []
+        for window in self.window_set.windows:
+            prompt = self.rule_prompt(window.text, prompt_mode)
+            with obs.span("window", index=window.index) as sp:
+                completion = llm.complete(prompt)
+                rules = self.parse_completion(
+                    completion.text,
+                    provenance=f"{llm.name}/window-{window.index}",
+                )
+                sp.set_attribute("rules", len(rules))
+            per_window_rules.append(rules)
+            latencies.append(completion.latency_seconds)
+            obs.inc("mining.windows_prompted", model=llm.name)
+        return per_window_rules, latencies

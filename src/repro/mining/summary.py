@@ -16,14 +16,8 @@ from __future__ import annotations
 import random
 
 from repro.encoding.incident import IncidentEncoder, Statement
-from repro.mining.pipeline import (
-    BasePipeline,
-    PipelineContext,
-    combine_and_cap,
-)
+from repro.mining.pipeline import BasePipeline, PipelineContext
 from repro.mining.result import MiningRun
-from repro.prompts.examples import examples_text
-from repro.prompts.templates import few_shot_prompt, zero_shot_prompt
 
 #: concrete examples included per node label / edge type
 DEFAULT_SAMPLES_PER_LABEL = 12
@@ -108,19 +102,13 @@ class SummaryPipeline(BasePipeline):
             method=self.method,
             prompt_mode=prompt_mode,
         )
-        if prompt_mode == "few_shot":
-            prompt = few_shot_prompt(self.summary_text, examples_text())
-        else:
-            prompt = zero_shot_prompt(self.summary_text)
-        completion = llm.complete(prompt)
+        completion = llm.complete(
+            self.rule_prompt(self.summary_text, prompt_mode)
+        )
         run.mining_seconds = clock.elapsed_seconds
 
         rules = self.parse_completion(
             completion.text, provenance=f"{llm.name}/summary"
         )
-        combined = combine_and_cap(
-            [rules], llm.profile, prompt_mode,
-            self.run_rng(llm.name, prompt_mode),
-        )
-        self.translate_and_score(run, combined.rules, llm)
+        self.finish(run, [rules], llm, prompt_mode)
         return run

@@ -48,7 +48,6 @@ from repro.obs.export import (
     to_jsonl,
     write_jsonl,
 )
-from repro.obs.propagate import EMPTY_CONTEXT, TraceContext, capture, wrap
 from repro.obs.server import JsonRequestHandler
 from repro.obs.metrics import (
     Counter,
@@ -74,7 +73,6 @@ __all__ = [
     "CostRow",
     "Counter",
     "DEFAULT_BUCKETS",
-    "EMPTY_CONTEXT",
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
@@ -87,10 +85,8 @@ __all__ = [
     "SpanStats",
     "TraceAssembler",
     "TraceCollector",
-    "TraceContext",
     "aggregate_names",
     "attribute_costs",
-    "capture",
     "chrome_trace",
     "critical_path",
     "flamegraph_folded",
@@ -115,7 +111,6 @@ __all__ = [
     "to_jsonl",
     "traced",
     "uninstall",
-    "wrap",
     "write_jsonl",
 ]
 

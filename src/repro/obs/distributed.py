@@ -1,12 +1,13 @@
 """Distributed tracing: one connected span tree across process lines.
 
-The in-process tracer (:mod:`repro.obs.trace` + :mod:`repro.obs
-.propagate`) guarantees every mining job one connected span tree — but
-only within a single process.  The gateway fleet breaks that invariant:
-the HTTP front door, the dispatcher threads and N worker *processes*
-each see a fragment of one logical job.  This module carries trace
-identity over process boundaries and stitches the fragments back into
-the single tree :mod:`repro.obs.analyze` already consumes:
+The in-process tracer (:mod:`repro.obs.trace`) keeps one span stack per
+thread, and a mining job runs on one thread, so every job gets one
+connected span tree — but only within a single process.  The gateway
+fleet breaks that invariant: the HTTP front door, the dispatcher
+threads and N worker *processes* each see a fragment of one logical
+job.  This module carries trace identity over process boundaries and
+stitches the fragments back into the single tree
+:mod:`repro.obs.analyze` already consumes:
 
 * **traceparent** — a W3C-style ``00-<32 hex trace>-<16 hex span>-01``
   header minted (or adopted from the client) per gateway job and

@@ -165,8 +165,8 @@ class TraceCollector:
             thread=threading.current_thread().name,
         )
         if parent is not None:
-            # list.append is atomic under the GIL, so children from
-            # several threads attached to one propagated parent are safe
+            # the parent is on this thread's stack only, so only this
+            # thread ever appends to its children
             parent.children.append(new)
         else:
             with self._lock:
@@ -182,25 +182,6 @@ class TraceCollector:
         while stack:
             top = stack.pop()
             if top is target:
-                return
-
-    # ------------------------------------------------------------------
-    # cross-thread propagation hooks (see :mod:`repro.obs.propagate`)
-    # ------------------------------------------------------------------
-    def adopt_span(self, target: Span) -> None:
-        """Push a span owned by *another* thread onto this thread's stack.
-
-        Spans started on this thread afterwards become children of
-        ``target``; the adopted span itself is never finished here —
-        :meth:`release_span` merely removes it again.
-        """
-        self._stack().append(target)
-
-    def release_span(self, target: Span) -> None:
-        """Undo :meth:`adopt_span`, unwinding any spans leaked inside."""
-        stack = self._stack()
-        while stack:
-            if stack.pop() is target:
                 return
 
     # ------------------------------------------------------------------

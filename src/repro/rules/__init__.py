@@ -1,10 +1,6 @@
 """Consistency-rule model, NL round-trip, translation and deduplication."""
 
-from repro.rules.dedup import (
-    combine_window_rules,
-    deduplicate,
-    merge_property_exists,
-)
+from repro.rules.dedup import deduplicate, merge_property_exists
 from repro.rules.model import (
     COMPLEX_KINDS,
     SIMPLE_KINDS,
@@ -37,7 +33,6 @@ __all__ = [
     "RuleTranslator",
     "SIMPLE_KINDS",
     "UntranslatableRuleError",
-    "combine_window_rules",
     "deduplicate",
     "export_rules",
     "from_natural_language",

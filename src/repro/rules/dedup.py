@@ -1,11 +1,13 @@
-"""Cross-window rule deduplication and merging.
+"""Cross-window rule deduplication, merging and implication pruning.
 
 The sliding-window pipeline prompts the LLM once per window and then
 "the rules generated from each window are combined to create a
 comprehensive set of rules that apply to the entire graph" (§3.1.1).
-Combination means: drop exact duplicates (same signature), and merge
-PROPERTY_EXISTS rules over the same label into one multi-property rule
-when requested (the paper's example rule covers *date and stage* at once).
+The pipelines' combination (``combine_and_cap`` and ``semantic_dedup``
+in :mod:`repro.mining.pipeline`) is built from these helpers: drop
+duplicate rules, merge PROPERTY_EXISTS rules over the same label into
+one multi-property rule (the paper's example rule covers *date and
+stage* at once), and prune rules a stronger survivor implies.
 """
 
 from __future__ import annotations
@@ -168,16 +170,3 @@ def merge_property_exists(
             continue
         output.append(rule)
     return output
-
-
-def combine_window_rules(
-    per_window: list[list[ConsistencyRule]],
-    merge_existence: bool = True,
-    schema: Optional[GraphSchema] = None,
-) -> list[ConsistencyRule]:
-    """The §3.1.1 combination step: concatenate, dedup, optionally merge."""
-    flat = [rule for window in per_window for rule in window]
-    unique = deduplicate(flat, schema=schema)
-    if merge_existence:
-        unique = merge_property_exists(unique)
-    return unique

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 from repro.cypher import ast_nodes as ast
 from repro.cypher.errors import CypherError
-from repro.cypher.parser import parse
+from repro.cypher.parser import parse_cached
 from repro.graph.changelog import DeltaKind, GraphDelta
 from repro.graph.statistics import GraphCatalog
 
@@ -123,7 +123,7 @@ def extract_footprint(query_text: str) -> RuleFootprint | None:
     nothing observable at all.
     """
     try:
-        tree = parse(query_text)
+        tree = parse_cached(query_text)
     except CypherError:
         return None
     collector = _Collector()

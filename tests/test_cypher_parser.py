@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cypher import CypherSyntaxError, parse
+from repro.cypher import CypherSyntaxError, parse, parse_cached
 from repro.cypher.ast_nodes import (
     BinaryOp,
     FunctionCall,
@@ -311,3 +311,21 @@ class TestExpressions:
         expr = where_of("MATCH (n) WHERE n.x - 1 > 0 RETURN n")
         assert expr.op == ">"
         assert expr.left.op == "-"
+
+
+class TestParseCached:
+    def test_equal_text_shares_one_tree(self):
+        parse_cached.cache_clear()
+        text = "MATCH (n:Person) WHERE n.age > 3 RETURN count(*) AS c"
+        first = parse_cached(text)
+        again = parse_cached(" ".join(text.split(" ")))   # equal, new str
+        assert again is first
+        assert first == parse(text)
+        assert parse_cached.cache_info().hits == 1
+
+    def test_syntax_error_raises_every_call_and_is_not_cached(self):
+        parse_cached.cache_clear()
+        for _ in range(3):
+            with pytest.raises(CypherSyntaxError):
+                parse_cached("MATCH (n RETURN n")
+        assert parse_cached.cache_info().currsize == 0

@@ -12,7 +12,6 @@ from repro.encoding import (
     SlidingWindowChunker,
     changed_window_indexes,
     dirty_block_subjects,
-    invalidated_windows,
     refresh_statements,
 )
 from repro.graph import GraphChangeLog, PropertyGraph
@@ -157,7 +156,7 @@ class TestRefresh:
 
 
 # ----------------------------------------------------------------------
-# window invalidation and the re-mining worklist
+# the re-mining worklist
 # ----------------------------------------------------------------------
 class TestWindows:
     def setup_windows(self, graph):
@@ -168,48 +167,11 @@ class TestWindows:
         assert window_set.window_count > 2     # the test needs spread
         return encoder, chunker, statements, window_set
 
-    def test_local_change_invalidates_a_strict_subset(self):
-        graph = build_graph(10)
-        encoder, chunker, statements, window_set = self.setup_windows(graph)
-        log = GraphChangeLog().attach(graph)
-        graph.update_node("u0", {"screen_name": "@renamed"})
-        invalid = invalidated_windows(window_set, statements, log.deltas())
-        assert invalid                          # something is stale
-        assert len(invalid) < window_set.window_count
-
-    def test_prediction_covers_the_actual_changed_windows(self):
-        graph = build_graph(10)
-        encoder, chunker, statements, window_set = self.setup_windows(graph)
-        log = GraphChangeLog().attach(graph)
-        # token-count-preserving edit: window boundaries stay put, so the
-        # old-set prediction is exact (a size-changing edit shifts every
-        # downstream boundary and only changed_window_indexes is
-        # authoritative — the docstring's caveat)
-        graph.update_node("u0", {"screen_name": "@userX"})
-        graph.add_node("u99", "User", {"id": 99})
-        invalid = invalidated_windows(window_set, statements, log.deltas())
-        refreshed = refresh_statements(graph, statements, log.deltas())
-        new_set = chunker.chunk_statements(refreshed)
-        changed = changed_window_indexes(window_set, new_set)
-        # prediction over the old set must cover every surviving changed
-        # window (brand-new tail windows have no old counterpart)
-        old_count = window_set.window_count
-        assert set(c for c in changed if c < old_count) <= set(invalid)
-
     def test_unchanged_graph_changes_no_windows(self):
         graph = build_graph()
         encoder, chunker, statements, window_set = self.setup_windows(graph)
-        assert invalidated_windows(window_set, statements, []) == []
         again = chunker.chunk_statements(encoder.encode(graph))
         assert changed_window_indexes(window_set, again) == []
-
-    def test_appended_node_invalidates_the_tail_window(self):
-        graph = build_graph(10)
-        encoder, chunker, statements, window_set = self.setup_windows(graph)
-        log = GraphChangeLog().attach(graph)
-        graph.add_node("u99", "User", {"id": 99})
-        invalid = invalidated_windows(window_set, statements, log.deltas())
-        assert invalid == [window_set.windows[-1].index]
 
     def test_changed_window_indexes_pinpoints_the_worklist(self):
         graph = build_graph(10)

@@ -96,7 +96,7 @@ class TestFaults:
         def broken_parse(text):
             raise RuntimeError("parser bug")
 
-        monkeypatch.setattr(faults, "parse", broken_parse)
+        monkeypatch.setattr(faults, "parse_cached", broken_parse)
         query = "MATCH (a:User)-[:POSTS]->(b:Tweet) RETURN count(*) AS c"
         with pytest.raises(RuntimeError, match="parser bug"):
             flip_first_direction(query)

@@ -1,14 +1,21 @@
 """Tests for the future-work pipelines: parallel SWA and summary mining."""
 
+import threading
+
 import pytest
 
+from repro.llm.simulated import SimulatedLLM
 from repro.mining import (
+    PROMPT_MODES,
     ParallelSlidingWindowPipeline,
     PipelineContext,
     SlidingWindowPipeline,
     SummaryPipeline,
     build_summary_statements,
+    run_seed,
+    run_to_dict,
 )
+from repro.prompts import examples_text, few_shot_prompt, zero_shot_prompt
 
 
 @pytest.fixture(scope="module")
@@ -16,10 +23,53 @@ def context(cyber_dataset):
     return PipelineContext.build(cyber_dataset)
 
 
+def round_robin_bins(context, model, prompt_mode, workers):
+    """``workers`` bins, window ``i`` in bin ``i % workers``, each the
+    sum of its windows' latencies from a fresh LLM seeded like the
+    sequential run."""
+    llm = SimulatedLLM(model, seed=run_seed(
+        context.name, model, "sliding_window", prompt_mode,
+    ))
+    bins = [0.0] * workers
+    for window in SlidingWindowPipeline(context).window_set.windows:
+        if prompt_mode == "few_shot":
+            prompt = few_shot_prompt(window.text, examples_text())
+        else:
+            prompt = zero_shot_prompt(window.text)
+        bins[window.index % workers] += llm.complete(prompt).latency_seconds
+    return bins
+
+
 class TestParallelPipeline:
     def test_worker_validation(self, context):
         with pytest.raises(ValueError):
             ParallelSlidingWindowPipeline(context, workers=0)
+
+    @pytest.mark.parametrize("prompt_mode", PROMPT_MODES)
+    @pytest.mark.parametrize("workers", (1, 2, 3, 8))
+    def test_sequential_run_retimed(self, context, workers, prompt_mode):
+        sequential = run_to_dict(
+            SlidingWindowPipeline(context).mine("llama3", prompt_mode)
+        )
+        pipeline = ParallelSlidingWindowPipeline(context, workers=workers)
+        parallel = run_to_dict(pipeline.mine("llama3", prompt_mode))
+        assert parallel.pop("method") == "parallel_sliding_window"
+        makespan = parallel.pop("mining_seconds")
+        del sequential["method"], sequential["mining_seconds"]
+        assert parallel == sequential
+        bins = round_robin_bins(context, "llama3", prompt_mode, workers)
+        assert [r.seconds for r in pipeline.worker_reports] == bins
+        assert makespan == max(bins)
+
+    def test_mines_without_threads(self, context, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        run = ParallelSlidingWindowPipeline(context, workers=4).mine(
+            "llama3", "zero_shot"
+        )
+        assert run.window_count > 4
 
     def test_same_rules_as_sequential(self, context):
         sequential = SlidingWindowPipeline(context).mine(
@@ -49,9 +99,7 @@ class TestParallelPipeline:
         parallel = ParallelSlidingWindowPipeline(context, workers=1).mine(
             "mixtral", "zero_shot"
         )
-        assert parallel.mining_seconds == pytest.approx(
-            sequential.mining_seconds
-        )
+        assert parallel.mining_seconds == sequential.mining_seconds
 
     def test_windows_distributed_round_robin(self, context):
         pipeline = ParallelSlidingWindowPipeline(context, workers=3)

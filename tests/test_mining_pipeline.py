@@ -6,7 +6,15 @@ import pytest
 
 from repro.datasets.base import Dataset, DirtReport
 from repro.llm import LLAMA3_PROFILE, MIXTRAL_PROFILE
-from repro.mining import PipelineContext, combine_and_cap
+from repro.mining import (
+    BasePipeline,
+    ParallelSlidingWindowPipeline,
+    PipelineContext,
+    RAGPipeline,
+    SlidingWindowPipeline,
+    SummaryPipeline,
+    combine_and_cap,
+)
 from repro.rules import ConsistencyRule, RuleKind
 
 
@@ -121,3 +129,25 @@ class TestPipelineContext:
         assert any(
             s.text.startswith("Edge ") for s in context.statements
         )
+
+
+class TestFinish:
+    @pytest.mark.parametrize("pipeline_class", [
+        SlidingWindowPipeline, ParallelSlidingWindowPipeline,
+        RAGPipeline, SummaryPipeline,
+    ])
+    def test_semantic_dedup_once_per_mine(
+        self, cyber_dataset, pipeline_class, monkeypatch
+    ):
+        calls = []
+        semantic_dedup = BasePipeline.semantic_dedup
+
+        def counted(pipeline, rules):
+            calls.append(len(rules))
+            return semantic_dedup(pipeline, rules)
+
+        monkeypatch.setattr(BasePipeline, "semantic_dedup", counted)
+        pipeline = pipeline_class(PipelineContext.build(cyber_dataset))
+        for prompt_mode in ("zero_shot", "few_shot"):
+            pipeline.mine("llama3", prompt_mode)
+        assert len(calls) == 2

@@ -116,6 +116,18 @@ class TestSpans:
         # FakeClock advances 1s per call; each span costs start+end
         assert stats["work"].wall_seconds == pytest.approx(3.0)
 
+    def test_other_threads_grow_orphan_roots(self):
+        # stacks are per thread: a span opened on another thread does
+        # not nest under this thread's open span
+        collector = obs.install()
+        with obs.span("client"):
+            thread = threading.Thread(
+                target=lambda: obs.span("remote").__enter__()
+            )
+            thread.start()
+            thread.join()
+        assert {s.name for s in collector.roots} == {"client", "remote"}
+
 
 # ----------------------------------------------------------------------
 # metrics

@@ -132,6 +132,20 @@ def test_parallel_pipeline_worker_spans():
         worker.sim_seconds for worker in workers
     ) == pytest.approx(run.mining_seconds)
     assert collector.metrics.counter("llm.calls").total() == run.llm_calls
+    # one loop on the calling thread: the windows are siblings under the
+    # mine span, in window order, and belong to no worker
+    (mine,) = [
+        root for root in collector.roots
+        if root.name == "mine.parallel_sliding_window"
+    ]
+    windows = [child for child in mine.children if child.name == "window"]
+    assert [w.attributes["index"] for w in windows] == list(
+        range(run.window_count)
+    )
+    assert not any("worker" in w.attributes for w in windows)
+    assert collector.metrics.counter(
+        "mining.windows_prompted"
+    ).total() == run.window_count
 
 
 def test_pipelines_unchanged_without_collector():

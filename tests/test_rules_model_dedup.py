@@ -4,7 +4,6 @@ from repro.rules import (
     ConsistencyRule,
     RuleKind,
     RuleSet,
-    combine_window_rules,
     deduplicate,
     merge_property_exists,
 )
@@ -90,18 +89,3 @@ class TestMerge:
         first = rule(label="X", properties=("p",), text="first")
         second = rule(label="X", properties=("p",), text="second")
         assert deduplicate([first, second]) == [first]
-
-    def test_combine_window_rules(self):
-        windows = [
-            [rule(label="X", properties=("a",)),
-             rule(RuleKind.UNIQUENESS, label="X", properties=("a",))],
-            [rule(label="X", properties=("b",)),
-             rule(RuleKind.UNIQUENESS, label="X", properties=("a",))],
-        ]
-        combined = combine_window_rules(windows)
-        kinds = sorted(r.kind.value for r in combined)
-        assert kinds == ["property_exists", "uniqueness"]
-        merged = next(
-            r for r in combined if r.kind is RuleKind.PROPERTY_EXISTS
-        )
-        assert merged.properties == ("a", "b")

@@ -71,12 +71,11 @@ LAYERS = {
 }
 
 #: intra-obs sublayer ranks: the obs package is itself a small layer
-#: cake (metrics < trace < propagate/export/distributed < analyze <
-#: server); an upward import here is the same cycle risk in miniature
+#: cake (metrics < trace < export/distributed < analyze < server); an
+#: upward import here is the same cycle risk in miniature
 OBS_LAYERS = {
     "metrics": 0,
     "trace": 1,
-    "propagate": 2,
     "export": 2,
     "distributed": 2,
     "analyze": 3,
