@@ -23,40 +23,29 @@ from typing import Optional, Union
 
 from repro.cypher.ast_nodes import (
     BinaryOp,
-    CaseExpression,
     CreateClause,
-    ExistsExpression,
     Expression,
-    FunctionCall,
     InList,
-    IsNull,
     LabelPredicate,
     ListComprehension,
-    ListIndex,
     ListLiteral,
-    ListSlice,
-    Literal,
     MapLiteral,
     MatchClause,
     MergeClause,
     NodePattern,
-    Parameter,
     PathPattern,
     PatternExpression,
-    PropertyAccess,
-    RegexMatch,
     RelPattern,
     ReturnClause,
     SingleQuery,
-    StringPredicate,
-    UnaryOp,
     UnionQuery,
     UnwindClause,
     Variable,
     WithClause,
+    flatten,
+    map_children,
 )
 from repro.analysis.dataflow import iter_variables
-from repro.analysis.satisfiability import flatten_and
 from repro.cypher.render import render_expression
 
 _FLIP_COMPARISON = {">": "<", ">=": "<="}
@@ -66,12 +55,6 @@ _COMMUTATIVE = ("=", "<>", "AND", "OR", "XOR")
 # ----------------------------------------------------------------------
 # expression normal form
 # ----------------------------------------------------------------------
-def _flatten(op: str, expr: Expression) -> list[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == op:
-        return _flatten(op, expr.left) + _flatten(op, expr.right)
-    return [expr]
-
-
 class _Renamer:
     """Rewrites an expression under a variable renaming while folding
     orientation freedom out of comparisons and commutative operators."""
@@ -87,92 +70,54 @@ class _Renamer:
         return render_expression(self.transform(expr))
 
     def transform(self, expr: Expression) -> Expression:
-        if isinstance(expr, Variable):
-            return Variable(self.name(expr.name))
-        if isinstance(expr, (Literal, Parameter)):
-            return expr
-        if isinstance(expr, PropertyAccess):
-            return PropertyAccess(self.transform(expr.subject), expr.key)
-        if isinstance(expr, BinaryOp):
-            return self._binary(expr)
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self.transform(expr.operand))
-        if isinstance(expr, FunctionCall):
-            args = tuple(self.transform(a) for a in expr.args)
-            return FunctionCall(expr.name, args, expr.distinct, expr.star)
-        if isinstance(expr, ListLiteral):
-            return ListLiteral(tuple(self.transform(i) for i in expr.items))
-        if isinstance(expr, MapLiteral):
-            entries = tuple(
-                (key, self.transform(value))
-                for key, value in sorted(expr.entries, key=lambda e: e[0])
-            )
-            return MapLiteral(entries)
-        if isinstance(expr, IsNull):
-            return IsNull(self.transform(expr.operand), expr.negated)
-        if isinstance(expr, InList):
-            haystack = self.transform(expr.haystack)
-            if isinstance(haystack, ListLiteral):
-                haystack = ListLiteral(tuple(sorted(
-                    haystack.items, key=render_expression
-                )))
-            return InList(self.transform(expr.needle), haystack)
-        if isinstance(expr, StringPredicate):
-            return StringPredicate(
-                expr.kind, self.transform(expr.left),
-                self.transform(expr.right),
-            )
-        if isinstance(expr, RegexMatch):
-            return RegexMatch(
-                self.transform(expr.left), self.transform(expr.right)
-            )
-        if isinstance(expr, CaseExpression):
-            return CaseExpression(
-                self.transform(expr.operand) if expr.operand else None,
-                tuple(
-                    (self.transform(c), self.transform(r))
-                    for c, r in expr.whens
-                ),
-                self.transform(expr.default) if expr.default else None,
-            )
-        if isinstance(expr, LabelPredicate):
-            return LabelPredicate(
-                self.transform(expr.subject), tuple(sorted(expr.labels))
-            )
-        if isinstance(expr, ListIndex):
-            return ListIndex(
-                self.transform(expr.subject), self.transform(expr.index)
-            )
-        if isinstance(expr, ListSlice):
-            return ListSlice(
-                self.transform(expr.subject),
-                self.transform(expr.start) if expr.start else None,
-                self.transform(expr.end) if expr.end else None,
-            )
-        if isinstance(expr, ListComprehension):
-            scoped = f"_cv{self.depth}"
-            self.depth += 1
-            inner = _Renamer({**self.rename, expr.variable: scoped})
-            inner.depth = self.depth
-            result = ListComprehension(
-                scoped,
-                self.transform(expr.source),
-                inner.transform(expr.predicate) if expr.predicate else None,
-                inner.transform(expr.projection)
-                if expr.projection else None,
-            )
-            self.depth -= 1
-            return result
-        if isinstance(expr, PatternExpression):
-            return PatternExpression(self.transform_path(expr.pattern))
-        if isinstance(expr, ExistsExpression):
-            return ExistsExpression(self.transform(expr.operand))
-        return expr
+        rewrite = _REWRITES.get(type(expr))
+        if rewrite is None:
+            return map_children(expr, self.transform)
+        return rewrite(self, expr)
+
+    def _variable(self, expr: Variable) -> Expression:
+        return Variable(self.name(expr.name))
+
+    def _map(self, expr: MapLiteral) -> Expression:
+        return MapLiteral(tuple(
+            (key, self.transform(value))
+            for key, value in sorted(expr.entries, key=lambda e: e[0])
+        ))
+
+    def _in_list(self, expr: InList) -> Expression:
+        haystack = self.transform(expr.haystack)
+        if isinstance(haystack, ListLiteral):
+            haystack = ListLiteral(tuple(sorted(
+                haystack.items, key=render_expression
+            )))
+        return InList(self.transform(expr.needle), haystack)
+
+    def _labels(self, expr: LabelPredicate) -> Expression:
+        return LabelPredicate(
+            self.transform(expr.subject), tuple(sorted(expr.labels))
+        )
+
+    def _comprehension(self, expr: ListComprehension) -> Expression:
+        scoped = f"_cv{self.depth}"
+        self.depth += 1
+        inner = type(self)({**self.rename, expr.variable: scoped})
+        inner.depth = self.depth
+        result = ListComprehension(
+            scoped,
+            self.transform(expr.source),
+            inner.transform(expr.predicate) if expr.predicate else None,
+            inner.transform(expr.projection) if expr.projection else None,
+        )
+        self.depth -= 1
+        return result
+
+    def _pattern(self, expr: PatternExpression) -> Expression:
+        return PatternExpression(self.transform_path(expr.pattern))
 
     def _binary(self, expr: BinaryOp) -> Expression:
         if expr.op in ("AND", "OR", "XOR"):
             operands = [
-                self.transform(item) for item in _flatten(expr.op, expr)
+                self.transform(item) for item in flatten(expr.op, expr)
             ]
             operands.sort(key=render_expression)
             result = operands[0]
@@ -222,16 +167,30 @@ class _Renamer:
         return PathPattern(variable, elements)
 
 
+#: the node types whose normal form is more than their rewritten children
+_REWRITES = {
+    Variable: _Renamer._variable,
+    BinaryOp: _Renamer._binary,
+    MapLiteral: _Renamer._map,
+    InList: _Renamer._in_list,
+    LabelPredicate: _Renamer._labels,
+    ListComprehension: _Renamer._comprehension,
+    PatternExpression: _Renamer._pattern,
+}
+
+
 # ----------------------------------------------------------------------
 # variable invariants → canonical renaming
 # ----------------------------------------------------------------------
+class _Eraser(_Renamer):
+    """A renamer that maps every variable to ``?``."""
+
+    def name(self, original: str) -> str:
+        return "?"
+
+
 def _shape_text(expr: Expression) -> str:
     """Render with every variable erased — a name-free conjunct shape."""
-
-    class _Eraser(_Renamer):
-        def name(self, original: str) -> str:
-            return "?"
-
     return _Eraser({}).text(expr)
 
 
@@ -299,7 +258,7 @@ def _invariants(query: SingleQuery) -> dict[str, str]:
     def note_usage(expr: Optional[Expression]) -> None:
         if expr is None:
             return
-        for conjunct in flatten_and(expr):
+        for conjunct in flatten("AND", expr):
             shape = _shape_text(conjunct)
             for name in set(iter_variables(conjunct)):
                 if name in usage:
@@ -455,7 +414,7 @@ def _where_atoms(
         return []
     return sorted(
         f"where({renamer.text(conjunct)})"
-        for conjunct in flatten_and(where)
+        for conjunct in flatten("AND", where)
     )
 
 

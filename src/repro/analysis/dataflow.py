@@ -21,39 +21,26 @@ from typing import Iterator, Optional
 
 from repro.analysis.findings import Finding
 from repro.cypher.ast_nodes import (
-    BinaryOp,
-    CaseExpression,
     CreateClause,
     DeleteClause,
-    ExistsExpression,
     Expression,
     FunctionCall,
-    InList,
-    IsNull,
-    LabelPredicate,
     ListComprehension,
-    ListIndex,
-    ListLiteral,
-    ListSlice,
-    MapLiteral,
     MatchClause,
     MergeClause,
+    Node,
     NodePattern,
     PathPattern,
-    PatternExpression,
-    PropertyAccess,
-    RegexMatch,
     RelPattern,
     RemoveClause,
     ReturnClause,
     SetClause,
     SingleQuery,
-    StringPredicate,
-    UnaryOp,
     UnionQuery,
     UnwindClause,
     Variable,
     WithClause,
+    children,
 )
 
 PASS = "dataflow"
@@ -87,77 +74,33 @@ class VariableTable:
 
 def iter_variables(expr: Expression, shadowed: frozenset[str] = frozenset(
 )) -> Iterator[str]:
-    """Yield every free variable name referenced by ``expr``."""
-    if isinstance(expr, Variable):
-        if expr.name not in shadowed:
-            yield expr.name
-    elif isinstance(expr, PropertyAccess):
-        yield from iter_variables(expr.subject, shadowed)
-    elif isinstance(expr, (BinaryOp, StringPredicate, RegexMatch)):
-        yield from iter_variables(expr.left, shadowed)
-        yield from iter_variables(expr.right, shadowed)
-    elif isinstance(expr, UnaryOp):
-        yield from iter_variables(expr.operand, shadowed)
-    elif isinstance(expr, (IsNull, ExistsExpression)):
-        yield from iter_variables(expr.operand, shadowed)
-    elif isinstance(expr, InList):
-        yield from iter_variables(expr.needle, shadowed)
-        yield from iter_variables(expr.haystack, shadowed)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from iter_variables(arg, shadowed)
-    elif isinstance(expr, ListLiteral):
-        for item in expr.items:
-            yield from iter_variables(item, shadowed)
-    elif isinstance(expr, MapLiteral):
-        for _key, value in expr.entries:
-            yield from iter_variables(value, shadowed)
-    elif isinstance(expr, CaseExpression):
-        if expr.operand is not None:
-            yield from iter_variables(expr.operand, shadowed)
-        for condition, result in expr.whens:
-            yield from iter_variables(condition, shadowed)
-            yield from iter_variables(result, shadowed)
-        if expr.default is not None:
-            yield from iter_variables(expr.default, shadowed)
-    elif isinstance(expr, ListIndex):
-        yield from iter_variables(expr.subject, shadowed)
-        yield from iter_variables(expr.index, shadowed)
-    elif isinstance(expr, ListSlice):
-        yield from iter_variables(expr.subject, shadowed)
-        if expr.start is not None:
-            yield from iter_variables(expr.start, shadowed)
-        if expr.end is not None:
-            yield from iter_variables(expr.end, shadowed)
-    elif isinstance(expr, ListComprehension):
-        yield from iter_variables(expr.source, shadowed)
-        inner = shadowed | {expr.variable}
-        if expr.predicate is not None:
-            yield from iter_variables(expr.predicate, inner)
-        if expr.projection is not None:
-            yield from iter_variables(expr.projection, inner)
-    elif isinstance(expr, LabelPredicate):
-        yield from iter_variables(expr.subject, shadowed)
-    elif isinstance(expr, PatternExpression):
-        for element in expr.pattern.elements:
-            if element.variable:
-                yield element.variable
-            for _key, value in element.properties:
-                yield from iter_variables(value, shadowed)
-    # Literal / Parameter: no variables
+    """Every free variable name referenced by ``expr``, in source order."""
+    names: list[str] = []
+    _scan(expr, shadowed, names)
+    return iter(names)
 
 
-def expression_uses_star(expr: Expression) -> bool:
-    """True when the expression is (or contains) ``count(*)``."""
-    if isinstance(expr, FunctionCall):
-        return expr.star or any(expression_uses_star(a) for a in expr.args)
-    if isinstance(expr, (BinaryOp, StringPredicate, RegexMatch)):
-        return expression_uses_star(expr.left) or expression_uses_star(
-            expr.right
-        )
-    if isinstance(expr, UnaryOp):
-        return expression_uses_star(expr.operand)
-    return False
+def _scan(node: Node, shadowed: frozenset[str], names: list[str]) -> bool:
+    """Append the free variables under ``node`` to ``names``; True when
+    ``count(*)`` occurs there."""
+    if isinstance(node, Variable):
+        if node.name not in shadowed:
+            names.append(node.name)
+        return False
+    if isinstance(node, ListComprehension):
+        star = _scan(node.source, shadowed, names)
+        inner = shadowed | {node.variable}
+        for scoped in (node.predicate, node.projection):
+            if scoped is not None and _scan(scoped, inner, names):
+                star = True
+        return star
+    star = isinstance(node, FunctionCall) and node.star
+    if isinstance(node, (NodePattern, RelPattern)) and node.variable:
+        names.append(node.variable)     # inside a pattern predicate
+    for child in children(node):
+        if _scan(child, shadowed, names):
+            star = True
+    return star
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +138,10 @@ def analyze_dataflow(
 
     def use(expr: Expression) -> None:
         nonlocal everything_used
-        for name in iter_variables(expr):
+        names: list[str] = []
+        if _scan(expr, frozenset(), names):
+            everything_used = True
+        for name in names:
             if name in bound:
                 used.add(name)
             elif name in dropped:
@@ -212,8 +158,6 @@ def analyze_dataflow(
                     "UNWIND or WITH binds it",
                     subject=name,
                 ))
-        if expression_uses_star(expr):
-            everything_used = True
 
     def bind(name: str, info: VarInfo) -> None:
         bound[name] = info

@@ -33,7 +33,7 @@ from typing import Optional
 from repro.analysis.analyzer import StaticAnalyzer
 from repro.analysis.dataflow import analyze_query_dataflow, iter_variables
 from repro.analysis.findings import AnalysisReport, Verdict
-from repro.analysis.satisfiability import ClauseAnalyzer, flatten_and
+from repro.analysis.satisfiability import ClauseAnalyzer
 from repro.analysis.typecheck import TypeChecker
 from repro.cypher import CypherError, parse_cached
 from repro.cypher.ast_nodes import (
@@ -47,6 +47,8 @@ from repro.cypher.ast_nodes import (
     SingleQuery,
     Variable,
     WithClause,
+    and_all,
+    flatten,
 )
 from repro.cypher.render import render_expression, render_query
 
@@ -389,7 +391,7 @@ class FixSynthesizer:
             if clause.where is None:
                 continue
             keeps[index] = []
-            for conjunct in flatten_and(clause.where):
+            for conjunct in flatten("AND", clause.where):
                 names = set(iter_variables(conjunct))
                 if names <= bound_after[index]:
                     keeps[index].append(conjunct)
@@ -412,12 +414,9 @@ class FixSynthesizer:
         for index in match_indices:
             clause = clauses[index]
             assert isinstance(clause, MatchClause)
-            conjuncts = keeps.get(
-                index,
-                flatten_and(clause.where) if clause.where is not None else [],
-            )
+            conjuncts = keeps.get(index, flatten("AND", clause.where))
             conjuncts = conjuncts + moves.get(index, [])
-            clauses[index] = replace(clause, where=_and_join(conjuncts))
+            clauses[index] = replace(clause, where=and_all(conjuncts))
         fixed = replace(query, clauses=tuple(clauses))
         names = ", ".join(dict.fromkeys(moved_names))
         return [_Proposal(
@@ -446,14 +445,14 @@ class FixSynthesizer:
             if isinstance(clause, (MatchClause, WithClause)) and (
                 where is not None
             ):
-                conjuncts = flatten_and(where)
+                conjuncts = flatten("AND", where)
                 for index, conjunct in enumerate(conjuncts):
                     coerced = self._coerce_comparison(conjunct, checker)
                     if coerced is None:
                         continue
                     rebuilt = list(conjuncts)
                     rebuilt[index] = coerced
-                    new_clause = replace(clause, where=_and_join(rebuilt))
+                    new_clause = replace(clause, where=and_all(rebuilt))
                     proposals.append(_Proposal(
                         kind="retype-comparison",
                         description=(
@@ -590,7 +589,7 @@ class FixSynthesizer:
                 subject for subject, domain in analyzer.domains.items()
                 if domain.contradiction() is not None
             }
-            conjuncts = flatten_and(where)
+            conjuncts = flatten("AND", where)
             if len(conjuncts) > 8:
                 continue
             ranked = sorted(
@@ -604,7 +603,7 @@ class FixSynthesizer:
                 remaining = [
                     c for j, c in enumerate(conjuncts) if j != index
                 ]
-                new_clause = replace(clause, where=_and_join(remaining))
+                new_clause = replace(clause, where=and_all(remaining))
                 proposals.append(_Proposal(
                     kind="drop-conjunct",
                     description=(
@@ -637,15 +636,6 @@ class FixSynthesizer:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _and_join(conjuncts: list[Expression]) -> Optional[Expression]:
-    if not conjuncts:
-        return None
-    joined = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        joined = BinaryOp("AND", joined, conjunct)
-    return joined
-
-
 _TRUTHY = {"true": True, "false": False}
 
 

@@ -37,7 +37,6 @@ from repro.analysis.satisfiability import (
     Domain,
     _ordered,
     _values_equal,
-    flatten_and,
 )
 from repro.cypher import CypherError, parse_cached
 from repro.cypher.ast_nodes import (
@@ -45,6 +44,7 @@ from repro.cypher.ast_nodes import (
     MatchClause,
     ReturnClause,
     SingleQuery,
+    flatten,
 )
 from repro.cypher.render import render_expression
 
@@ -119,7 +119,7 @@ def query_parts(query_text: str) -> Optional[QueryParts]:
         for pattern in match.patterns:
             atoms.extend(_pattern_atoms(pattern, renamer, ""))
         if match.where is not None:
-            for conjunct in flatten_and(match.where):
+            for conjunct in flatten("AND", match.where):
                 conjuncts.append(renamer.transform(conjunct))
     if returns.star:
         items = ["*"]

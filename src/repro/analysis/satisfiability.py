@@ -49,6 +49,7 @@ from repro.cypher.ast_nodes import (
     UnionQuery,
     Variable,
     WithClause,
+    flatten,
 )
 from repro.cypher.render import render_expression
 
@@ -361,12 +362,6 @@ class Domain:
 # ----------------------------------------------------------------------
 # conjunct extraction
 # ----------------------------------------------------------------------
-def flatten_and(expr: Expression) -> list[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return flatten_and(expr.left) + flatten_and(expr.right)
-    return [expr]
-
-
 def _literal_value(expr: Expression) -> tuple[bool, object]:
     """(is_literal, value) with unary minus folding."""
     if isinstance(expr, Literal):
@@ -404,7 +399,7 @@ class ClauseAnalyzer:
 
     # ------------------------------------------------------------------
     def add_predicate(self, expr: Expression) -> None:
-        for conjunct in flatten_and(expr):
+        for conjunct in flatten("AND", expr):
             self.conjuncts += 1
             self._add_conjunct(conjunct, negated=False)
 

@@ -20,11 +20,9 @@ from repro.analysis.dataflow import VariableTable
 from repro.analysis.findings import Finding
 from repro.cypher.ast_nodes import (
     BinaryOp,
-    CaseExpression,
     Expression,
     FunctionCall,
     InList,
-    ListComprehension,
     ListLiteral,
     Literal,
     MatchClause,
@@ -40,6 +38,7 @@ from repro.cypher.ast_nodes import (
     UnwindClause,
     Variable,
     WithClause,
+    children,
 )
 from repro.cypher.render import render_expression
 from repro.graph.schema import GraphSchema
@@ -158,17 +157,14 @@ class TypeChecker:
     # the pass
     # ------------------------------------------------------------------
     def check_expression(self, expr: Expression) -> None:
+        for child in children(expr):
+            self.check_expression(child)
         if isinstance(expr, BinaryOp):
-            self.check_expression(expr.left)
-            self.check_expression(expr.right)
             if expr.op in _COMPARISON_OPS + _EQUALITY_OPS:
                 self._check_comparison(expr)
             elif expr.op in _ARITHMETIC_OPS:
                 self._check_arithmetic(expr)
-            return
-        if isinstance(expr, RegexMatch):
-            self.check_expression(expr.left)
-            self.check_expression(expr.right)
+        elif isinstance(expr, RegexMatch):
             left = self.classes(expr.left)
             if left is not None and "string" not in left:
                 self.findings.append(Finding(
@@ -177,10 +173,7 @@ class TypeChecker:
                     f"{render_expression(expr.left)!r} can never succeed",
                     subject=render_expression(expr.left),
                 ))
-            return
-        if isinstance(expr, StringPredicate):
-            self.check_expression(expr.left)
-            self.check_expression(expr.right)
+        elif isinstance(expr, StringPredicate):
             for side in (expr.left, expr.right):
                 classes = self.classes(side)
                 if classes is not None and "string" not in classes:
@@ -190,39 +183,8 @@ class TypeChecker:
                         f"expression {render_expression(side)!r}",
                         subject=render_expression(side),
                     ))
-            return
-        if isinstance(expr, UnaryOp):
-            self.check_expression(expr.operand)
-            return
-        if isinstance(expr, FunctionCall):
-            for arg in expr.args:
-                self.check_expression(arg)
-            return
-        if isinstance(expr, InList):
-            self.check_expression(expr.needle)
-            self.check_expression(expr.haystack)
+        elif isinstance(expr, InList):
             self._check_in_list(expr)
-            return
-        if isinstance(expr, CaseExpression):
-            if expr.operand is not None:
-                self.check_expression(expr.operand)
-            for condition, result in expr.whens:
-                self.check_expression(condition)
-                self.check_expression(result)
-            if expr.default is not None:
-                self.check_expression(expr.default)
-            return
-        if isinstance(expr, ListComprehension):
-            self.check_expression(expr.source)
-            if expr.predicate is not None:
-                self.check_expression(expr.predicate)
-            if expr.projection is not None:
-                self.check_expression(expr.projection)
-            return
-        for attr in ("subject", "operand", "needle"):
-            child = getattr(expr, attr, None)
-            if isinstance(child, Expression):
-                self.check_expression(child)
 
     def _check_comparison(self, expr: BinaryOp) -> None:
         for side in (expr.left, expr.right):

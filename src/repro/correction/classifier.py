@@ -32,15 +32,6 @@ class Classification:
     def category_name(self) -> Optional[str]:
         return self.primary_category.value if self.primary_category else None
 
-    @property
-    def semantic_signature(self) -> Optional[str]:
-        """Canonical signature: equal for alpha-renamed duplicates."""
-        return self.analysis.signature if self.analysis else None
-
-    @property
-    def semantic_verdict(self) -> Optional[str]:
-        return self.analysis.verdict.value if self.analysis else None
-
 
 _PRIORITY = (
     ErrorCategory.SYNTAX,
@@ -86,9 +77,7 @@ class QueryClassifier:
     """Applies the §4.4 criteria against an inferred schema.
 
     When built with a :class:`~repro.analysis.StaticAnalyzer`, every
-    classification also carries the query's semantic analysis — its
-    verdict and the canonical signature used to spot alpha-renamed
-    duplicates among generated queries.
+    classification also carries the query's semantic analysis.
     """
 
     def __init__(

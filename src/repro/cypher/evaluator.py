@@ -415,54 +415,3 @@ def _start_or_end_node(expr: FunctionCall, ctx: EvalContext) -> object:
     node_id = value.src if expr.name == "startnode" else value.dst
     return ctx.graph.node(node_id)
 
-
-def contains_aggregate(expr: Expression) -> bool:
-    """True if ``expr`` contains an aggregate function call anywhere."""
-    if isinstance(expr, FunctionCall):
-        if is_aggregate(expr.name):
-            return True
-        return any(contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, PropertyAccess):
-        return contains_aggregate(expr.subject)
-    if isinstance(expr, (IsNull,)):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.needle) or contains_aggregate(expr.haystack)
-    if isinstance(expr, (StringPredicate, RegexMatch)):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, ListLiteral):
-        return any(contains_aggregate(item) for item in expr.items)
-    if isinstance(expr, MapLiteral):
-        return any(contains_aggregate(value) for _, value in expr.entries)
-    if isinstance(expr, CaseExpression):
-        parts: list[Expression] = []
-        if expr.operand is not None:
-            parts.append(expr.operand)
-        for condition, result in expr.whens:
-            parts.extend((condition, result))
-        if expr.default is not None:
-            parts.append(expr.default)
-        return any(contains_aggregate(part) for part in parts)
-    if isinstance(expr, ListIndex):
-        return contains_aggregate(expr.subject) or contains_aggregate(expr.index)
-    if isinstance(expr, ListSlice):
-        subs = [expr.subject]
-        if expr.start is not None:
-            subs.append(expr.start)
-        if expr.end is not None:
-            subs.append(expr.end)
-        return any(contains_aggregate(sub) for sub in subs)
-    if isinstance(expr, ListComprehension):
-        subs = [expr.source]
-        if expr.predicate is not None:
-            subs.append(expr.predicate)
-        if expr.projection is not None:
-            subs.append(expr.projection)
-        return any(contains_aggregate(sub) for sub in subs)
-    if isinstance(expr, ExistsExpression):
-        return contains_aggregate(expr.operand)
-    return False

@@ -19,6 +19,7 @@ from repro.cypher.ast_nodes import (
     DeleteClause,
     Expression,
     FunctionCall,
+    Literal,
     MatchClause,
     MergeClause,
     NodePattern,
@@ -35,13 +36,15 @@ from repro.cypher.ast_nodes import (
     UnwindClause,
     Variable,
     WithClause,
+    children,
+    map_children,
 )
 from repro.cypher.errors import (
     CypherError,
     CypherSemanticError,
     CypherTypeError,
 )
-from repro.cypher.evaluator import EvalContext, contains_aggregate, evaluate
+from repro.cypher.evaluator import EvalContext, evaluate
 from repro.cypher.functions import aggregate, is_aggregate
 from repro.cypher.matcher import MatchStats, Path, match_patterns
 from repro.cypher.parser import parse_cached
@@ -128,27 +131,11 @@ def _sort_key(value: object) -> tuple:
 
 def _collect_aggregates(expr: Expression) -> list[FunctionCall]:
     """Outermost aggregate calls inside ``expr`` (document order)."""
-    found: list[FunctionCall] = []
-
-    def visit(node: Expression) -> None:
-        if isinstance(node, FunctionCall) and is_aggregate(node.name):
-            found.append(node)
-            return  # aggregates cannot nest in Cypher
-        for attr in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, attr)
-            if isinstance(value, Expression):
-                visit(value)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, Expression):
-                        visit(item)
-                    elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, Expression):
-                                visit(sub)
-
-    visit(expr)
-    return found
+    if isinstance(expr, FunctionCall) and is_aggregate(expr.name):
+        return [expr]  # aggregates cannot nest in Cypher
+    return [
+        call for child in children(expr) for call in _collect_aggregates(child)
+    ]
 
 
 class _AggregateScope(EvalContext):
@@ -173,46 +160,11 @@ def _evaluate_with_aggregates(
     """Evaluate, substituting precomputed values for aggregate subtrees."""
     if isinstance(expr, FunctionCall) and is_aggregate(expr.name):
         return ctx.aggregate_values[expr]
-    # rebuild children through the normal evaluator by temporarily
-    # swapping aggregate subtrees for literals
-    from repro.cypher import ast_nodes as ast
 
     def substitute(node: Expression) -> Expression:
         if isinstance(node, FunctionCall) and is_aggregate(node.name):
-            return ast.Literal(ctx.aggregate_values[node])
-        if not hasattr(node, "__dataclass_fields__"):
-            return node
-        changes = {}
-        for attr in node.__dataclass_fields__:
-            value = getattr(node, attr)
-            if isinstance(value, Expression):
-                new = substitute(value)
-                if new is not value:
-                    changes[attr] = new
-            elif isinstance(value, tuple):
-                new_items = []
-                changed = False
-                for item in value:
-                    if isinstance(item, Expression):
-                        new = substitute(item)
-                        changed = changed or (new is not item)
-                        new_items.append(new)
-                    elif isinstance(item, tuple):
-                        new_sub = tuple(
-                            substitute(s) if isinstance(s, Expression) else s
-                            for s in item
-                        )
-                        changed = changed or (new_sub != item)
-                        new_items.append(new_sub)
-                    else:
-                        new_items.append(item)
-                if changed:
-                    changes[attr] = tuple(new_items)
-        if changes:
-            import dataclasses
-
-            return dataclasses.replace(node, **changes)
-        return node
+            return Literal(ctx.aggregate_values[node])
+        return map_children(node, substitute)
 
     return evaluate(substitute(expr), ctx)
 
@@ -654,9 +606,7 @@ class Executor:
                 for name in variables
             )
 
-        has_aggregate = any(
-            contains_aggregate(item.expression) for item in items
-        )
+        aggregates = [_collect_aggregates(item.expression) for item in items]
         columns = [item.column_name for item in items]
         if len(set(columns)) != len(columns):
             raise CypherSemanticError("duplicate column names in projection")
@@ -664,9 +614,10 @@ class Executor:
         # each projected row keeps the source bindings it came from, so
         # ORDER BY can reference pre-projection variables (Cypher allows
         # ``RETURN t.name AS team ORDER BY t.name``)
-        if has_aggregate:
+        if any(aggregates):
             projected = [
-                (row, dict(row)) for row in self._project_grouped(items, rows)
+                (row, dict(row))
+                for row in self._project_grouped(items, aggregates, rows)
             ]
         else:
             projected = []
@@ -718,14 +669,17 @@ class Executor:
         return value
 
     def _project_grouped(
-        self, items: Sequence[ProjectionItem], rows: list[Row]
+        self,
+        items: Sequence[ProjectionItem],
+        aggregates: list[list[FunctionCall]],
+        rows: list[Row],
     ) -> list[Row]:
+        """Group ``rows``; ``aggregates[i]`` lists item i's aggregate
+        calls, and an item without any is part of the grouping key."""
         group_items = [
-            item for item in items if not contains_aggregate(item.expression)
+            item for item, calls in zip(items, aggregates) if not calls
         ]
-        aggregate_calls: list[FunctionCall] = []
-        for item in items:
-            aggregate_calls.extend(_collect_aggregates(item.expression))
+        aggregate_calls = [call for calls in aggregates for call in calls]
 
         # group rows by the values of non-aggregate items
         groups: dict[tuple, tuple[Row, list[Row]]] = {}
@@ -754,13 +708,12 @@ class Executor:
                 if call in agg_values:
                     continue
                 agg_values[call] = self._evaluate_aggregate(call, member_rows)
+            scope = _AggregateScope(
+                self._ctx(member_rows[0] if member_rows else {}), agg_values
+            )
             out: Row = {}
-            for item in items:
-                if contains_aggregate(item.expression):
-                    scope = _AggregateScope(
-                        self._ctx(member_rows[0] if member_rows else {}),
-                        agg_values,
-                    )
+            for item, calls in zip(items, aggregates):
+                if calls:
                     out[item.column_name] = _evaluate_with_aggregates(
                         item.expression, scope
                     )

@@ -189,12 +189,6 @@ def _round(value: object, precision: object = 0) -> object:
     return result if digits else float(math.floor(number + 0.5))
 
 
-def _start_node(value: object, graph_nodes: object = None) -> object:
-    raise CypherTypeError(
-        "startNode()/endNode() require graph context; use the executor"
-    )
-
-
 SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
     "tostring": _null_if_none(_to_string),
     "tointeger": _null_if_none(_to_integer),

@@ -25,35 +25,23 @@ from typing import Optional
 
 from repro.cypher.ast_nodes import (
     BinaryOp,
-    CaseExpression,
-    ExistsExpression,
     Expression,
-    FunctionCall,
-    InList,
-    IsNull,
     LabelPredicate,
-    ListComprehension,
-    ListIndex,
-    ListLiteral,
-    ListSlice,
     Literal,
-    MapLiteral,
     MatchClause,
     NodePattern,
     PathPattern,
     PatternExpression,
     PropertyAccess,
     Query,
-    RegexMatch,
     RelPattern,
     ReturnClause,
     SingleQuery,
-    StringPredicate,
-    UnaryOp,
     UnionQuery,
     UnwindClause,
     Variable,
     WithClause,
+    children,
 )
 from repro.cypher.errors import CypherSyntaxError
 from repro.cypher.parser import parse_cached
@@ -188,8 +176,9 @@ class Linter:
                         )
                 if element.variable and element.labels:
                     node_vars[element.variable] = element.labels
-                for key, _value in element.properties:
+                for key, value in element.properties:
                     self._check_node_property(element.labels, key, report)
+                    self._lint_expression(value, report, node_vars, edge_vars)
             elif isinstance(element, RelPattern):
                 for rel_type in element.types:
                     if rel_type not in self.schema.edge_profiles:
@@ -202,8 +191,9 @@ class Linter:
                         )
                 if element.variable and element.types:
                     edge_vars[element.variable] = element.types
-                for key, _value in element.properties:
+                for key, value in element.properties:
                     self._check_edge_property(element.types, key, report)
+                    self._lint_expression(value, report, node_vars, edge_vars)
 
         # direction validation on (node, rel, node) triples
         for index in range(1, len(elements), 2):
@@ -311,68 +301,17 @@ class Linter:
         node_vars: dict[str, tuple[str, ...]],
         edge_vars: dict[str, tuple[str, ...]],
     ) -> None:
-        if isinstance(expr, PropertyAccess):
-            subject = expr.subject
-            if isinstance(subject, Variable):
-                if subject.name in node_vars:
-                    self._check_node_property(
-                        node_vars[subject.name], expr.key, report
-                    )
-                elif subject.name in edge_vars:
-                    self._check_edge_property(
-                        edge_vars[subject.name], expr.key, report
-                    )
-            else:
-                self._lint_expression(subject, report, node_vars, edge_vars)
+        if isinstance(expr, PropertyAccess) and isinstance(
+            expr.subject, Variable
+        ):
+            name = expr.subject.name
+            if name in node_vars:
+                self._check_node_property(node_vars[name], expr.key, report)
+            elif name in edge_vars:
+                self._check_edge_property(edge_vars[name], expr.key, report)
             return
-        if isinstance(expr, BinaryOp):
-            if expr.op == "=" and self._is_regex_equality(expr):
-                offset = report.query_text.find(expr.right.value)
-                report.issues.append(
-                    LintIssue(
-                        ErrorCategory.SYNTAX,
-                        "'=' used to compare against a regular expression; "
-                        "the regex-match operator is '=~'",
-                        position=offset if offset >= 0 else None,
-                    )
-                )
-            self._lint_expression(expr.left, report, node_vars, edge_vars)
-            self._lint_expression(expr.right, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, UnaryOp):
-            self._lint_expression(expr.operand, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, FunctionCall):
-            for arg in expr.args:
-                self._lint_expression(arg, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, (IsNull, ExistsExpression)):
-            self._lint_expression(expr.operand, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, InList):
-            self._lint_expression(expr.needle, report, node_vars, edge_vars)
-            self._lint_expression(expr.haystack, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, (StringPredicate, RegexMatch)):
-            self._lint_expression(expr.left, report, node_vars, edge_vars)
-            self._lint_expression(expr.right, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, ListLiteral):
-            for item in expr.items:
-                self._lint_expression(item, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, MapLiteral):
-            for _key, value in expr.entries:
-                self._lint_expression(value, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, CaseExpression):
-            if expr.operand is not None:
-                self._lint_expression(expr.operand, report, node_vars, edge_vars)
-            for condition, result in expr.whens:
-                self._lint_expression(condition, report, node_vars, edge_vars)
-                self._lint_expression(result, report, node_vars, edge_vars)
-            if expr.default is not None:
-                self._lint_expression(expr.default, report, node_vars, edge_vars)
+        if isinstance(expr, PatternExpression):
+            self._lint_pattern(expr.pattern, report, node_vars, edge_vars)
             return
         if isinstance(expr, LabelPredicate):
             for label in expr.labels:
@@ -384,29 +323,22 @@ class Linter:
                             subject=label,
                         )
                     )
-            return
-        if isinstance(expr, (ListIndex,)):
-            self._lint_expression(expr.subject, report, node_vars, edge_vars)
-            self._lint_expression(expr.index, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, ListSlice):
-            self._lint_expression(expr.subject, report, node_vars, edge_vars)
-            return
-        if isinstance(expr, ListComprehension):
-            self._lint_expression(expr.source, report, node_vars, edge_vars)
-            if expr.predicate is not None:
-                self._lint_expression(
-                    expr.predicate, report, node_vars, edge_vars
+        elif (
+            isinstance(expr, BinaryOp)
+            and expr.op == "="
+            and self._is_regex_equality(expr)
+        ):
+            offset = report.query_text.find(expr.right.value)
+            report.issues.append(
+                LintIssue(
+                    ErrorCategory.SYNTAX,
+                    "'=' used to compare against a regular expression; "
+                    "the regex-match operator is '=~'",
+                    position=offset if offset >= 0 else None,
                 )
-            if expr.projection is not None:
-                self._lint_expression(
-                    expr.projection, report, node_vars, edge_vars
-                )
-            return
-        if isinstance(expr, PatternExpression):
-            self._lint_pattern(expr.pattern, report, node_vars, edge_vars)
-            return
-        # Literal, Variable, Parameter: nothing to check
+            )
+        for child in children(expr):
+            self._lint_expression(child, report, node_vars, edge_vars)
 
     @staticmethod
     def _is_regex_equality(expr: BinaryOp) -> bool:

@@ -59,6 +59,8 @@ from repro.cypher.ast_nodes import (
     UnwindClause,
     Variable,
     WithClause,
+    and_all,
+    flatten,
 )
 from repro.cypher.matcher import SeedSpec
 from repro.graph.statistics import GraphCatalog
@@ -120,25 +122,6 @@ class QueryPlan:
 # ----------------------------------------------------------------------
 # conjunct analysis
 # ----------------------------------------------------------------------
-def _flatten_and(expr: Optional[Expression]) -> list[Expression]:
-    """Split a WHERE expression on top-level ANDs, in source order."""
-    if expr is None:
-        return []
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _flatten_and(expr.left) + _flatten_and(expr.right)
-    return [expr]
-
-
-def _combine_and(conjuncts: list[Expression]) -> Optional[Expression]:
-    """Left-associated AND of ``conjuncts`` (None when empty)."""
-    if not conjuncts:
-        return None
-    combined = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        combined = BinaryOp(op="AND", left=combined, right=conjunct)
-    return combined
-
-
 def _safe_value(
     expr: Expression, kinds: Mapping[str, str], names: set[str]
 ) -> bool:
@@ -492,7 +475,7 @@ def _plan_match_clause(
             if element.variable:
                 element_vars.add(element.variable)
 
-    conjuncts = _flatten_and(clause.where)
+    conjuncts = flatten("AND", clause.where)
     bound_before = set(bound_kinds)
     prefilter: list[Expression] = []
     pushable: list[tuple[Expression, frozenset[str]]] = []
@@ -590,7 +573,7 @@ def _plan_match_clause(
     return ClausePlan(
         steps=tuple(steps),
         prefilter=tuple(prefilter),
-        residual=_combine_and(residual),
+        residual=and_all(residual),
         estimate=total_rows,
     )
 

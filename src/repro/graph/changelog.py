@@ -51,10 +51,6 @@ class DeltaKind(Enum):
             DeltaKind.NODE_ADDED, DeltaKind.NODE_REMOVED, DeltaKind.NODE_PROPS
         )
 
-    @property
-    def is_edge(self) -> bool:
-        return not self.is_node
-
 
 @dataclass(frozen=True)
 class GraphDelta:

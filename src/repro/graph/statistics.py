@@ -203,13 +203,6 @@ class GraphCatalog:
             return in_fan
         return out_fan + in_fan
 
-    def edge_label_count(self, types: tuple[str, ...]) -> int:
-        if not types:
-            return self.edge_count
-        return sum(
-            self.edge_stats[t].count for t in types if t in self.edge_stats
-        )
-
 
 def catalog_from_columnar(snapshot: "ColumnarGraph") -> GraphCatalog:
     """Derive the planner catalog from a columnar snapshot.

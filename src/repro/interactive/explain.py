@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cypher.errors import CypherError
 from repro.cypher.executor import execute
 from repro.graph.schema import GraphSchema
 from repro.graph.store import PropertyGraph
@@ -126,7 +127,7 @@ def explain_rule(
             rows = execute(graph, queries.violations).rows
             counter_examples = tuple(rows[:max_counter_examples])
             evidence["violations"] = len(rows)
-        except Exception:
+        except CypherError:
             evidence["violations"] = "query failed (hallucinated fields?)"
 
     rationale = _render_rationale(rule, metrics, evidence)

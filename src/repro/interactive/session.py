@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from repro.cypher.errors import CypherError
 from repro.cypher.executor import execute
 from repro.graph.schema import GraphSchema
 from repro.graph.store import PropertyGraph
@@ -177,7 +178,7 @@ class RefinementSession:
             return []
         try:
             result = execute(self.graph, entry.queries.violations)
-        except Exception:
+        except CypherError:
             return []
         return result.rows[:limit]
 

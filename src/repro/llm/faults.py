@@ -32,6 +32,7 @@ from repro.cypher.ast_nodes import (
     RelPattern,
     SingleQuery,
     Variable,
+    and_all,
 )
 from repro.cypher.errors import CypherError
 from repro.cypher.parser import parse_cached
@@ -183,17 +184,13 @@ def inject_unsat_fault(
         keys = re.findall(rf"\b{re.escape(name)}\.(\w+)", query_text)
         subject = PropertyAccess(Variable(name), keys[0] if keys else "id")
         if rng.random() < 0.5:
-            extra: BinaryOp = BinaryOp("<", subject, Literal(None))
+            extra = BinaryOp("<", subject, Literal(None))
         else:
-            extra = BinaryOp(
-                "AND",
+            extra = and_all((
                 BinaryOp(">", subject, Literal(1000000)),
                 BinaryOp("<", subject, Literal(0)),
-            )
-        where = (
-            extra if clause.where is None
-            else BinaryOp("AND", clause.where, extra)
-        )
+            ))
+        where = and_all((clause.where, extra))
         clauses = list(query.clauses)
         clauses[index] = MatchClause(
             patterns=clause.patterns, optional=clause.optional, where=where,

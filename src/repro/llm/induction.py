@@ -56,9 +56,6 @@ class Proposal:
     rule: ConsistencyRule
     evidence: float
 
-    def with_evidence(self, evidence: float) -> "Proposal":
-        return Proposal(rule=self.rule, evidence=evidence)
-
 
 def _is_id_property(key: str) -> bool:
     lowered = key.lower()

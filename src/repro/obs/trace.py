@@ -147,10 +147,6 @@ class TraceCollector:
             self._local.stack = stack
         return stack
 
-    def current_span(self) -> Span | None:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def start_span(
         self, name: str, attributes: dict[str, object] | None = None
     ) -> Span:

@@ -18,7 +18,7 @@ actually exists or is being introduced", not a blanket re-evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 from repro.cypher import ast_nodes as ast
 from repro.cypher.errors import CypherError
@@ -57,21 +57,6 @@ class RuleFootprint:
 
 #: a footprint that intersects every delta — the sound fallback
 WILDCARD_FOOTPRINT = RuleFootprint(wildcard=True)
-
-
-def _walk(obj: object):
-    """Yield every AST dataclass node reachable from ``obj``."""
-    stack = [obj]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (tuple, list)):
-            stack.extend(current)
-            continue
-        if not is_dataclass(current) or isinstance(current, type):
-            continue
-        yield current
-        for field in fields(current):
-            stack.append(getattr(current, field.name))
 
 
 class _Collector:
@@ -127,7 +112,7 @@ def extract_footprint(query_text: str) -> RuleFootprint | None:
     except CypherError:
         return None
     collector = _Collector()
-    for node in _walk(tree):
+    for node in ast.walk(tree):
         collector.visit(node)
     return collector.footprint()
 

@@ -71,6 +71,16 @@ class TestDataflow:
         )
         assert not report.has("unused-variable")
 
+    @pytest.mark.parametrize("projection", [
+        "CASE WHEN true THEN count(*) END",
+        "[count(*)]",
+    ])
+    def test_nested_count_star_suppresses_unused(self, projection):
+        report = analyze_query(
+            f"MATCH (a:User)-[r:POSTS]->(t:Tweet) RETURN {projection} AS c"
+        )
+        assert not report.has("unused-variable")
+
     def test_shadowed_variable(self):
         report = analyze_query(
             "MATCH (a:User) WITH a.id AS a RETURN a AS i"
@@ -153,6 +163,19 @@ class TestTypecheck:
         )
         assert report.has("type-confused-comparison")
         assert report.verdict is Verdict.WARN
+
+    @pytest.mark.parametrize("projection", [
+        "[u.name > 5]",
+        "{flag: u.name > 5}",
+        "[1, 2][toInteger(u.name > 5)]",
+        "[1, 2][toInteger(u.name > 5)..]",
+        "[1, 2][..toInteger(u.name > 5)]",
+    ])
+    def test_confusion_inside_collections(self, social_schema, projection):
+        report = analyze_query(
+            f"MATCH (u:User) RETURN {projection} AS x", social_schema
+        )
+        assert report.has("type-confused-comparison")
 
     def test_matching_types_are_clean(self, social_schema):
         report = analyze_query(
@@ -248,6 +271,17 @@ class TestCanonical:
         b = parse("MATCH (alpha:User)-[beta:POSTS]->(gamma:Tweet) "
                   "WHERE alpha.id > 0 RETURN count(*) AS c")
         assert canonical_signature(a) == canonical_signature(b)
+
+    def test_alpha_renaming_inside_comprehension_collapses(self):
+        # the two variables tie on every invariant but the names a
+        # comprehension body uses, which the normal form must erase
+        text = ("MATCH ({a}:User), ({b}:User) "
+                "WHERE size([x IN [1] WHERE x > {a}.id]) > 0 "
+                "AND size([x IN [1] WHERE x > {b}.id]) > 0 "
+                "RETURN {a}.name AS n")
+        first = parse(text.format(a="a", b="b"))
+        swapped = parse(text.format(a="b", b="a"))
+        assert canonical_signature(first) == canonical_signature(swapped)
 
     def test_edge_direction_flip_collapses(self):
         out = parse("MATCH (u:User)-[:POSTS]->(t:Tweet) "

@@ -84,6 +84,21 @@ class TestHallucinationCategory:
         )
         assert report.has(ErrorCategory.HALLUCINATED_PROPERTY)
 
+    @pytest.mark.parametrize("query", [
+        "MATCH (t:Tweet) RETURN [1, 2, 3][t.score..] AS s",
+        "MATCH (t:Tweet) RETURN [1, 2, 3][..t.score] AS s",
+    ])
+    def test_unknown_property_in_slice_bound(self, social_schema, query):
+        report = lint(query, social_schema)
+        assert report.has(ErrorCategory.HALLUCINATED_PROPERTY)
+        assert any(i.subject == "score" for i in report.issues)
+
+    def test_unknown_property_in_pattern_value(self, social_schema):
+        report = lint(
+            "MATCH (u:User), (t:Tweet {id: u.score}) RETURN t", social_schema
+        )
+        assert any(i.subject == "score" for i in report.issues)
+
     def test_unknown_edge_property(self, social_schema):
         report = lint(
             "MATCH ()-[r:FOLLOWS]->() WHERE r.weight > 1 RETURN r",

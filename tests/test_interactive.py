@@ -1,5 +1,7 @@
 """Tests for interactive refinement and explanations."""
 
+import dataclasses
+
 import pytest
 
 from repro.graph import infer_schema
@@ -8,7 +10,17 @@ from repro.interactive import (
     RuleStatus,
     explain_rule,
 )
+from repro.interactive import explain as explain_module
+from repro.interactive import session as session_module
 from repro.rules import ConsistencyRule, RuleKind, to_natural_language
+from repro.rules.translator import RuleTranslator
+
+#: a violation query the engine rejects, as a hallucinating model writes
+BROKEN_QUERY = "MATCH (n:Match RETURN n"
+
+
+def engine_bug(*_args, **_kwargs):
+    raise RuntimeError("engine bug")
 
 
 def named(rule):
@@ -117,6 +129,16 @@ class TestViolations:
     def test_clean_rule_no_violations(self, session):
         assert session.violations(1) == []
 
+    def test_only_query_errors_degrade(self, session, monkeypatch):
+        entry = session.entries[0]
+        entry.queries = dataclasses.replace(
+            entry.queries, violations=BROKEN_QUERY
+        )
+        assert session.violations(0) == []
+        monkeypatch.setattr(session_module, "execute", engine_bug)
+        with pytest.raises(RuntimeError):
+            session.violations(1)
+
 
 class TestExplanations:
     def test_explains_every_translatable_kind(self, session, sports_graph):
@@ -138,6 +160,28 @@ class TestExplanations:
         # 3 goals, one colliding pair -> 1 unique, 2 collide
         assert "1 of 3" in explanation.rationale
         assert explanation.counter_examples
+
+    def test_only_query_errors_degrade(self, sports_graph, monkeypatch):
+        schema = infer_schema(sports_graph)
+        rule = named(ConsistencyRule(
+            RuleKind.TEMPORAL_UNIQUE, "", edge_label="SCORED_GOAL",
+            src_label="Person", dst_label="Match",
+            time_property="minute",
+        ))
+        translate = RuleTranslator.translate
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                RuleTranslator, "translate",
+                lambda self, r: dataclasses.replace(
+                    translate(self, r), violations=BROKEN_QUERY
+                ),
+            )
+            explanation = explain_rule(sports_graph, schema, rule)
+        assert explanation.evidence["violations"].startswith("query failed")
+        assert explanation.counter_examples == ()
+        monkeypatch.setattr(explain_module, "execute", engine_bug)
+        with pytest.raises(RuntimeError):
+            explain_rule(sports_graph, schema, rule)
 
     def test_untranslatable_rule_graceful(self, sports_graph):
         schema = infer_schema(sports_graph)

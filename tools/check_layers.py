@@ -22,14 +22,18 @@ Lint
 ----
 A small stdlib-``ast`` pass (the container has no ruff/pyflakes) flags
 the defect classes that bite most in review: unused imports, duplicate
-imports, ``import *``, bare ``except:`` clauses, and non-injectable
+imports, ``import *``, broad exception handlers, and non-injectable
 wall-clock reads (``time.time()`` / ``time.monotonic()`` /
 ``datetime.now()`` call sites) outside ``repro.obs`` — the simulated
 timeline only stays deterministic when real time is either owned by the
 obs layer or injected as a clock parameter.  Process-lifecycle modules
 that legitimately watch the real clock are enumerated in
-``tools/wallclock_allowlist.txt``.  When ruff *is* importable (CI
-installs it), it runs afterwards for the full rule set.
+``tools/wallclock_allowlist.txt``.  An ``except Exception``, ``except
+BaseException`` or bare ``except:`` handler hides engine bugs, so each
+one must be listed, by file and enclosing function and with a reason,
+in ``tools/broad_except_allowlist.txt``; an entry that no longer
+matches a handler fails too.  When ruff *is* importable (CI installs
+it), it runs afterwards for the full rule set.
 
 Usage::
 
@@ -88,6 +92,13 @@ _INIT_NAMES = ("__init__.py",)
 #: files under src/ allowed to read the wall clock directly
 #: (process-lifecycle code where an injected clock buys nothing)
 WALLCLOCK_ALLOWLIST = REPO / "tools" / "wallclock_allowlist.txt"
+
+#: broad exception handlers allowed under src/ and tools/, one per line
+#: as ``path::enclosing.function  reason``
+BROAD_EXCEPT_ALLOWLIST = REPO / "tools" / "broad_except_allowlist.txt"
+
+#: exception names whose handler catches (nearly) everything
+_BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
 
 #: (qualifier, attribute) call pairs that read the real clock
 _WALLCLOCK_CALLS = {
@@ -292,15 +303,52 @@ def check_lint(path: Path, tree: ast.AST, source: str) -> list[str]:
     return problems
 
 
-def check_bare_except(path: Path, tree: ast.AST) -> list[str]:
-    """A bare ``except:`` swallows KeyboardInterrupt and SystemExit."""
+def _is_broad(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type
+    if caught is None:
+        return True                  # bare except:
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return any(
+        isinstance(name, ast.Name) and name.id in _BROAD_EXCEPTIONS
+        for name in names
+    )
+
+
+def _broad_handlers(
+    node: ast.AST, scope: tuple[str, ...] = ()
+) -> list[tuple[str, ast.ExceptHandler]]:
+    """(enclosing qualified name, handler) for every broad handler."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.ExceptHandler) and _is_broad(child):
+            found.append((".".join(scope) or "<module>", child))
+        found.extend(_broad_handlers(child, inner))
+    return found
+
+
+def check_broad_except(
+    path: Path, tree: ast.AST, allowlist: set[str], matched: set[str]
+) -> list[str]:
+    """Flag broad handlers whose ``path::function`` is not allowlisted;
+    record the entries that matched in ``matched``."""
     relative = path.relative_to(REPO)
-    return [
-        f"{relative}:{node.lineno}: bare 'except:' — name the "
-        f"exception types (or use 'except Exception:')"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ExceptHandler) and node.type is None
-    ]
+    problems: list[str] = []
+    for scope, handler in _broad_handlers(tree):
+        key = f"{relative}::{scope}"
+        if key in allowlist:
+            matched.add(key)
+            continue
+        problems.append(
+            f"{relative}:{handler.lineno}: broad exception handler in "
+            f"{scope} — catch the errors the code can act on, or add "
+            f"'{key}' with a reason to tools/broad_except_allowlist.txt"
+        )
+    return problems
 
 
 def _dotted_call_name(node: ast.AST) -> tuple[str, ...]:
@@ -314,16 +362,17 @@ def _dotted_call_name(node: ast.AST) -> tuple[str, ...]:
     return ()
 
 
-def load_wallclock_allowlist() -> set[str]:
+def load_allowlist(path: Path) -> set[str]:
+    """The first word of every non-comment line of ``path``."""
     entries: set[str] = set()
     try:
-        text = WALLCLOCK_ALLOWLIST.read_text()
+        text = path.read_text()
     except OSError:
         return entries
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
-            entries.add(line)
+            entries.add(line.split()[0])
     return entries
 
 
@@ -396,7 +445,9 @@ def main(argv: list[str] | None = None) -> int:
 
     problems: list[str] = []
     checked = 0
-    allowlist = load_wallclock_allowlist()
+    allowlist = load_allowlist(WALLCLOCK_ALLOWLIST)
+    broad_allowlist = load_allowlist(BROAD_EXCEPT_ALLOWLIST)
+    broad_matched: set[str] = set()
     targets = sorted(SRC.rglob("*.py")) + sorted(
         (REPO / "tools").glob("*.py")
     )
@@ -413,7 +464,14 @@ def main(argv: list[str] | None = None) -> int:
             problems.extend(check_obs_sublayers(path, tree))
             problems.extend(check_wallclock(path, tree, allowlist))
         problems.extend(check_lint(path, tree, source))
-        problems.extend(check_bare_except(path, tree))
+        problems.extend(
+            check_broad_except(path, tree, broad_allowlist, broad_matched)
+        )
+    problems.extend(
+        f"tools/broad_except_allowlist.txt: stale entry '{key}' matches "
+        "no broad exception handler"
+        for key in sorted(broad_allowlist - broad_matched)
+    )
 
     for problem in problems:
         print(problem)
