@@ -181,24 +181,13 @@ class Executor:
         self.parameters = dict(parameters or {})
 
     # ------------------------------------------------------------------
-    def _plan(self, query: Query) -> "QueryPlan | None":
-        try:
-            return QueryPlanner().plan(query, self.graph)
-        except Exception:
-            # a planning bug must never break a query; fall back to the
-            # written-order walk and record that it happened
-            obs.inc("planner.errors")
-            return None
-
     def run(self, query: Query) -> QueryResult:
-        plan = self._plan(query)
+        plan = QueryPlanner().plan(query, self.graph)
         if isinstance(query, UnionQuery):
             return self._run_union(query, plan)
         return self._run_single(query, plan)
 
-    def _run_union(
-        self, query: UnionQuery, plan: "QueryPlan | None" = None
-    ) -> QueryResult:
+    def _run_union(self, query: UnionQuery, plan: "QueryPlan") -> QueryResult:
         results = [
             self._run_single(sub, plan, branch)
             for branch, sub in enumerate(query.queries)
@@ -226,21 +215,14 @@ class Executor:
         return QueryResult(columns=columns, rows=rows, stats=stats)
 
     def _run_single(
-        self,
-        query: SingleQuery,
-        plan: "QueryPlan | None" = None,
-        branch: int = 0,
+        self, query: SingleQuery, plan: "QueryPlan", branch: int = 0
     ) -> QueryResult:
         rows: list[Row] = [{}]
         columns: list[str] = []
         self._stats: dict[str, int] = {}
         for clause_index, clause in enumerate(query.clauses):
             if isinstance(clause, MatchClause):
-                clause_plan = (
-                    plan.clause_plan(branch, clause_index)
-                    if plan is not None
-                    else None
-                )
+                clause_plan = plan.clause_plan(branch, clause_index)
                 rows = list(self._apply_match(clause, rows, clause_plan))
             elif isinstance(clause, UnwindClause):
                 rows = list(self._apply_unwind(clause, rows))

@@ -7,6 +7,8 @@ know how a custom dataset was built), the gateway serialises the exact
 graph, ground-truth rules and dirt report — and workers reconstruct it
 from the snapshot file.  The graph rides on :mod:`repro.graph.io`'s
 JSON format; rules use :meth:`repro.rules.model.ConsistencyRule.to_dict`.
+A snapshot carries no compiled CSR: the loading process compiles its
+own on its first query.
 
 Writes are atomic (unique tmp file + ``os.replace``) so a worker that
 races a snapshot refresh never reads a torn file.
@@ -40,49 +42,18 @@ class SnapshotError(ValueError):
     """The snapshot payload cannot be read by this library."""
 
 
-def dataset_to_dict(
-    dataset: Dataset, *, include_csr: bool = False
-) -> dict[str, Any]:
-    """Render a dataset as a JSON-serialisable dict.
-
-    With ``include_csr`` the compiled columnar snapshot of the graph is
-    embedded under ``"csr"`` (checksummed; see
-    :func:`repro.graph.columnar.to_payload`), so the loading process can
-    adopt it instead of recompiling — gateway workers load snapshots on
-    their hot path.  A graph whose cached snapshot carries overlays is
-    compiled fresh for the artifact.
-    """
-    payload = {
+def dataset_to_dict(dataset: Dataset) -> dict[str, Any]:
+    """Render a dataset as a JSON-serialisable dict."""
+    return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "graph": graph_to_dict(dataset.graph),
         "true_rules": [rule.to_dict() for rule in dataset.true_rules],
         "dirt": dict(dataset.dirt.injected),
     }
-    if include_csr:
-        from repro.graph.columnar import (
-            ColumnarArtifactError,
-            compile_graph,
-            to_payload,
-        )
-
-        snapshot = dataset.graph.columnar()
-        try:
-            payload["csr"] = to_payload(snapshot)
-        except ColumnarArtifactError:
-            # the cached snapshot has incremental overlays; artifacts
-            # must be base-array-only, so compile one for the wire
-            payload["csr"] = to_payload(compile_graph(dataset.graph))
-    return payload
 
 
 def dataset_from_dict(payload: dict[str, Any]) -> Dataset:
-    """Rebuild a dataset from :func:`dataset_to_dict` output.
-
-    An embedded ``"csr"`` artifact is validated against the rebuilt
-    graph and adopted as its columnar snapshot; a corrupt or mismatched
-    artifact is dropped (counter ``graph.csr.artifact_fallbacks``) and
-    the graph recompiles lazily on first use — never an error.
-    """
+    """Rebuild a dataset from :func:`dataset_to_dict` output."""
     version = payload.get("format_version", SNAPSHOT_FORMAT_VERSION)
     if version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotError(
@@ -98,30 +69,17 @@ def dataset_from_dict(payload: dict[str, Any]) -> Dataset:
         dirt = DirtReport(injected=dict(payload.get("dirt", {})))
     except (KeyError, TypeError, ValueError) as error:
         raise SnapshotError(f"malformed dataset snapshot: {error}") from error
-    csr = payload.get("csr")
-    if csr is not None:
-        from repro import obs
-        from repro.graph.columnar import from_payload
-
-        try:
-            graph.adopt_columnar(from_payload(csr, graph))
-        except Exception:
-            obs.inc("graph.csr.artifact_fallbacks")
-        else:
-            obs.inc("graph.csr.artifact_loads")
     return Dataset(graph=graph, true_rules=rules, dirt=dirt)
 
 
-def save_dataset(
-    dataset: Dataset, path: str | Path, *, include_csr: bool = False
-) -> Path:
+def save_dataset(dataset: Dataset, path: str | Path) -> Path:
     """Write a dataset snapshot atomically; returns the final path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / (
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
-    tmp.write_text(json.dumps(dataset_to_dict(dataset, include_csr=include_csr)))
+    tmp.write_text(json.dumps(dataset_to_dict(dataset)))
     os.replace(tmp, path)
     return path
 

@@ -119,7 +119,7 @@ def _profile_shell(seed: int) -> dict:
 def _run_stream_phase(seed: int) -> None:
     """Incrementally maintain a mined run over a fixed delta batch.
 
-    Runs on a snapshot round-trip *copy* of the dataset — the registry
+    Runs on a freshly generated *copy* of the dataset — the registry
     caches graph instances in-process, and mutating the shared one would
     poison every later profile.  Emits the deterministic ``stream.*``
     counters the baseline gates, and enforces the evaluation-savings
@@ -127,13 +127,12 @@ def _run_stream_phase(seed: int) -> None:
     ``min_eval_savings``x fewer rules than a full recompute would.
     """
     from repro.datasets import load
-    from repro.datasets.snapshot import dataset_from_dict, dataset_to_dict
     from repro.graph import GraphChangeLog
     from repro.mining import PipelineContext, SlidingWindowPipeline
     from repro.stream import IncrementalMaintainer
 
     spec = STREAM_WORKLOAD
-    dataset = dataset_from_dict(dataset_to_dict(load(spec["dataset"])))
+    dataset = load(spec["dataset"], cache=False)
     context = PipelineContext.build(dataset)
     run = SlidingWindowPipeline(context).mine(
         WORKLOAD["model"], WORKLOAD["prompt_mode"],

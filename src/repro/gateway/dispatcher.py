@@ -443,12 +443,23 @@ class Dispatcher:
 
     def _resolve(self, job: GatewayJob, event: dict) -> None:
         ok = bool(event.get("ok"))
+        error = str(event.get("error") or "worker failure")
         job.cache_hit = bool(event.get("cache_hit"))
         job.attempts = int(event.get("attempts") or 0)
         job.retries = int(event.get("retries") or 0)
         job.rules = int(event.get("rules") or 0)
         job.computed_id = str(event.get("computed_id") or "")
         job.finished_at = time.monotonic()
+        if job.computed_id and job.computed_id != job.job_id:
+            # the worker stored the run under another content address,
+            # so the shared cache holds nothing under the gateway's id
+            obs.inc("gateway.fingerprint_mismatches")
+            ok = False
+            error = (
+                f"worker computed job id {job.computed_id}, gateway "
+                f"expected {job.job_id}: the worker's code or dataset "
+                f"snapshot differs from the gateway's"
+            )
         if ok:
             job.state = GatewayJobState.DONE
             job.source = "worker-cache" if job.cache_hit else "worker"
@@ -456,15 +467,10 @@ class Dispatcher:
                 self.jobs_completed += 1
         else:
             job.state = GatewayJobState.FAILED
-            job.error = str(event.get("error") or "worker failure")
+            job.error = error
             job.source = "worker"
             with self._cv:
                 self.jobs_failed += 1
-        if job.computed_id and job.computed_id != job.job_id:
-            # the worker's content address disagrees with the gateway's:
-            # results landed under a different cache key (e.g. graph
-            # snapshot did not round-trip byte-stable)
-            obs.inc("gateway.fingerprint_mismatches")
         obs.inc(
             "gateway.jobs_completed",
             ok=ok, cache_hit=job.cache_hit,

@@ -42,8 +42,6 @@ __all__ = [
     "parse_submit",
     "ready_event",
     "shutdown_message",
-    "spec_from_payload",
-    "spec_to_payload",
 ]
 
 #: v2 added distributed-trace context: ``job`` ops carry a ``trace``
@@ -142,16 +140,6 @@ def parse_submit(
     )
 
 
-def spec_to_payload(spec: JobSpec) -> dict[str, Any]:
-    """The full config dict shipped to workers (already canonical)."""
-    return spec.config_dict()
-
-
-def spec_from_payload(payload: Mapping[str, Any]) -> JobSpec:
-    """Rebuild a :class:`JobSpec` on the worker side, re-validated."""
-    return parse_submit(payload)
-
-
 # ----------------------------------------------------------------------
 # worker line protocol
 # ----------------------------------------------------------------------
@@ -188,7 +176,7 @@ def job_message(
         "op": "job",
         "job_id": job_id,
         "snapshot": snapshot_path,
-        "spec": spec_to_payload(spec),
+        "spec": spec.config_dict(),
     }
     if traceparent:
         message["trace"] = traceparent

@@ -267,7 +267,9 @@ class Gateway:
         The first request for a dataset pays for generation, snapshot
         serialisation and fingerprinting; every later request (and every
         worker) reuses the snapshot file, so the whole fleet agrees on
-        one graph and therefore one set of content addresses.
+        one graph and therefore one set of content addresses.  The
+        snapshot holds the graph, not its CSR: each worker compiles its
+        own on its first query.
         """
         key = name.lower()
         with self._dataset_lock:
@@ -281,9 +283,7 @@ class Gateway:
                     f"dataset {key!r} is not servable: {error}"
                 ) from error
             path = self.snapshot_dir / f"{key}.json"
-            # embed the compiled CSR so every worker process adopts it
-            # instead of recompiling the graph on its first job
-            save_dataset(dataset, path, include_csr=True)
+            save_dataset(dataset, path)
             entry = (str(path), graph_fingerprint(dataset.graph))
             self._datasets[key] = entry
             self._dataset_objects[key] = dataset
@@ -349,7 +349,7 @@ class Gateway:
         with self._dataset_lock:
             dataset = self._dataset_objects[key]
             path = self.snapshot_dir / f"{key}.e{dataset.graph.epoch}.json"
-            save_dataset(dataset, path, include_csr=True)
+            save_dataset(dataset, path)
             self._datasets[key] = (
                 str(path), graph_fingerprint(dataset.graph)
             )

@@ -10,9 +10,11 @@ result cache.  It speaks the line protocol of
   spec and the gateway's content-addressed job id;
 * loads the snapshot (cached per dataset name), runs the job on its
   main thread through the runner (retry/backoff, disk cache), and
-  emits a ``done`` event.  A cell another worker process already mined
-  lands as a **cross-process cache hit** — the runner finds the entry
-  in the shared cache and never touches a pipeline;
+  emits a ``done`` event.  The snapshot carries no CSR: the worker
+  compiles the graph's CSR on its first query and keeps it until the
+  gateway republishes the dataset.  A cell another worker process
+  already mined lands as a **cross-process cache hit** — the runner
+  finds the entry in the shared cache and never touches a pipeline;
 * exits cleanly on a ``shutdown`` op, stdin EOF, or SIGTERM/SIGINT.  A
   signal while idle exits at once; a signal during a job lets the job
   finish and report ``done`` first.
@@ -163,7 +165,7 @@ class GatewayWorker:
         started = time.monotonic()
         adopted = self._begin_trace(message, job_id)
         try:
-            spec = protocol.spec_from_payload(message["spec"])
+            spec = protocol.parse_submit(message["spec"])
             self._ensure_snapshot(spec.dataset, str(message["snapshot"]))
             trace_tags = (
                 {"trace_id": adopted[2]} if adopted is not None else None

@@ -6,11 +6,7 @@ from repro.graph.changelog import (
     GraphDelta,
     compact_deltas,
 )
-from repro.graph.columnar import (
-    ColumnarArtifactError,
-    ColumnarGraph,
-    compile_graph,
-)
+from repro.graph.columnar import ColumnarGraph, compile_graph
 from repro.graph.errors import (
     DanglingEdgeError,
     DuplicateElementError,
@@ -44,7 +40,6 @@ from repro.graph.statistics import (
 from repro.graph.store import PropertyGraph
 
 __all__ = [
-    "ColumnarArtifactError",
     "ColumnarGraph",
     "DanglingEdgeError",
     "DeltaKind",

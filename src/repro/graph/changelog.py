@@ -21,6 +21,10 @@ maintenance and window invalidation re-read final graph state):
 * property deltas merge into the preceding add, or into each other
   (union of touched keys);
 * property deltas before a remove are dropped — the remove supersedes.
+
+Survivors keep their chronological order.  A merged delta keeps the
+position of the delta it merged into, so a node add that absorbs later
+property deltas still precedes the edges that reference the node.
 """
 
 from __future__ import annotations
@@ -77,52 +81,48 @@ class GraphDelta:
         return ("node" if self.kind.is_node else "edge", self.subject_id)
 
 
-def _fold_subject(deltas: list[GraphDelta]) -> list[GraphDelta]:
-    """Compact one subject's chronological delta sequence (see module doc)."""
-    out: list[GraphDelta] = []
-    for delta in deltas:
+def _fold_subject(
+    entries: list[tuple[int, GraphDelta]],
+) -> list[tuple[int, GraphDelta]]:
+    """Compact one subject's chronological ``(position, delta)`` list
+    (see module doc); a merged delta keeps its target's position."""
+    out: list[tuple[int, GraphDelta]] = []
+    for position, delta in entries:
         if delta.kind in (DeltaKind.NODE_ADDED, DeltaKind.EDGE_ADDED):
-            out.append(delta)
+            out.append((position, delta))
         elif delta.kind in (DeltaKind.NODE_PROPS, DeltaKind.EDGE_PROPS):
             if out:
-                prev = out[-1]
+                kept, prev = out[-1]
                 merged_keys = tuple(dict.fromkeys(prev.keys + delta.keys))
                 # later epoch keeps the merged delta visible to since();
                 # add-kind survives the merge (subject is still "new")
-                out[-1] = replace(
+                out[-1] = (kept, replace(
                     prev, keys=merged_keys, epoch=max(prev.epoch, delta.epoch)
-                )
+                ))
             else:
-                out.append(delta)
+                out.append((position, delta))
         else:  # NODE_REMOVED / EDGE_REMOVED
-            if out and out[0].kind in (
+            if out and out[0][1].kind in (
                 DeltaKind.NODE_ADDED, DeltaKind.EDGE_ADDED
             ):
                 # born and deceased inside the log: net effect is nothing
                 out = []
             else:
-                out = [delta]
+                out = [(position, delta)]
     return out
 
 
 def compact_deltas(deltas: list[GraphDelta]) -> list[GraphDelta]:
     """Collapse superseded deltas, preserving chronological order."""
-    by_subject: dict[tuple[str, str], list[GraphDelta]] = {}
-    positions: dict[int, int] = {}
-    for index, delta in enumerate(deltas):
-        by_subject.setdefault(delta.subject_key, []).append(delta)
-        positions[id(delta)] = index
-
-    retained: list[tuple[int, GraphDelta]] = []
-    for subject_deltas in by_subject.values():
-        last_position = positions[id(subject_deltas[-1])]
-        folded = _fold_subject(subject_deltas)
-        for delta in folded:
-            # merged deltas lose their original identity; order them by
-            # the subject's last activity so causality is never inverted
-            position = positions.get(id(delta), last_position)
-            retained.append((position, delta))
-    retained.sort(key=lambda pair: pair[0])
+    by_subject: dict[tuple[str, str], list[tuple[int, GraphDelta]]] = {}
+    for position, delta in enumerate(deltas):
+        by_subject.setdefault(delta.subject_key, []).append((position, delta))
+    retained = [
+        entry
+        for entries in by_subject.values()
+        for entry in _fold_subject(entries)
+    ]
+    retained.sort(key=lambda entry: entry[0])
     return [delta for _, delta in retained]
 
 

@@ -20,27 +20,19 @@ Snapshots are copy-on-write: :meth:`ColumnarGraph.apply_deltas` clones
 the container spine (C-level copies) and layers small mutations on top —
 appended nodes/edges, per-node ``extras`` adjacency, dead-id tombstone
 sets — so a handful of deltas never forces an O(graph) recompile.  The
-store falls back to :func:`compile_graph` past a budget or when the
-change log lost history.
-
-:func:`to_payload` / :func:`from_payload` serialise a fully compiled
-snapshot (JSON-safe, sha256 checksummed) so dataset snapshots can ship
-the CSR to gateway workers, which then skip recompilation.
+store recompiles with :func:`compile_graph` past a budget or when the
+change log lost history.  A snapshot lives only in the process that
+compiled it: a gateway worker compiles its own on its first query.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.graph.changelog import DeltaKind, compact_deltas
-from repro.graph.errors import GraphError
 from repro.graph.model import Edge, Node
 from repro.graph.store import property_index_key
 
@@ -49,22 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.store import PropertyGraph
 
 __all__ = [
-    "ARTIFACT_VERSION",
-    "ColumnarArtifactError",
     "ColumnarGraph",
     "compile_graph",
-    "from_payload",
-    "to_payload",
 ]
-
-ARTIFACT_VERSION = 1
 
 #: sentinel for "single relationship type unknown to this snapshot"
 NO_TYPE = -1
-
-
-class ColumnarArtifactError(GraphError):
-    """A serialized CSR artifact is corrupt or does not fit the graph."""
 
 
 class _Adjacency:
@@ -398,8 +380,9 @@ class ColumnarGraph:
         """A new snapshot with ``deltas`` layered on top of this one.
 
         ``graph`` must be the post-delta state (subjects of surviving add
-        deltas are resolved against it); raises on any inconsistency, in
-        which case the caller recompiles from scratch.
+        deltas are resolved against it).  Raises on any inconsistency:
+        a delta this snapshot cannot apply is a bug, not a reason to
+        recompile.
         """
         snap = self._clone()
         dirty_pairs: set[tuple[int, int]] = set()
@@ -663,204 +646,4 @@ def compile_graph(graph: "PropertyGraph") -> ColumnarGraph:
     snap.in_adj = _build_adjacency(in_rows)
     snap.base_node_count = n
     snap.graph_token, snap.epoch = graph.fingerprint()
-    return snap
-
-
-# ----------------------------------------------------------------------
-# serialization (dataset snapshot artifacts)
-# ----------------------------------------------------------------------
-def _encode_array(arr: array) -> dict[str, str]:
-    return {
-        "tc": arr.typecode,
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(payload: object, typecode: str) -> array:
-    if not isinstance(payload, dict) or payload.get("tc") != typecode:
-        raise ColumnarArtifactError("malformed CSR array payload")
-    arr = array(typecode)
-    try:
-        arr.frombytes(base64.b64decode(payload["data"]))
-    except (KeyError, TypeError, ValueError) as error:
-        raise ColumnarArtifactError(
-            f"undecodable CSR array payload: {error}"
-        ) from error
-    return arr
-
-
-def _encode_adjacency(adj: _Adjacency) -> dict[str, object]:
-    return {
-        "offsets": _encode_array(adj.offsets),
-        "eids": _encode_array(adj.eids),
-        "typed_eids": _encode_array(adj.typed_eids),
-        "seg_bounds": _encode_array(adj.seg_bounds),
-        "seg_types": _encode_array(adj.seg_types),
-        "seg_starts": _encode_array(adj.seg_starts),
-    }
-
-
-def _decode_adjacency(payload: object) -> _Adjacency:
-    if not isinstance(payload, dict):
-        raise ColumnarArtifactError("malformed CSR adjacency payload")
-    return _Adjacency(
-        _decode_array(payload.get("offsets"), "q"),
-        _decode_array(payload.get("eids"), "I"),
-        _decode_array(payload.get("typed_eids"), "I"),
-        _decode_array(payload.get("seg_bounds"), "q"),
-        _decode_array(payload.get("seg_types"), "I"),
-        _decode_array(payload.get("seg_starts"), "q"),
-    )
-
-
-def _checksum(body: dict[str, object]) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def to_payload(snapshot: ColumnarGraph) -> dict[str, object]:
-    """Serialize a fully compiled snapshot as a JSON-safe dict."""
-    if snapshot.overlay_ops or snapshot.dead_nodes or snapshot.dead_edges:
-        raise ColumnarArtifactError(
-            "only fully compiled snapshots can be serialized"
-        )
-    body: dict[str, object] = {
-        "version": ARTIFACT_VERSION,
-        "byteorder": sys.byteorder,
-        "labels": list(snapshot.labels),
-        "etypes": list(snapshot.etypes),
-        "pkeys": list(snapshot.pkeys),
-        "node_ids": list(snapshot.node_ids),
-        "node_label_codes": [list(t) for t in snapshot.node_label_codes],
-        "node_cols": {
-            str(code): list(col) for code, col in snapshot.node_cols.items()
-        },
-        "edge_ids": list(snapshot.edge_ids),
-        "edge_types": _encode_array(snapshot.edge_types),
-        "edge_src": _encode_array(snapshot.edge_src),
-        "edge_dst": _encode_array(snapshot.edge_dst),
-        "edge_cols": {
-            str(code): list(col) for code, col in snapshot.edge_cols.items()
-        },
-        "out": _encode_adjacency(snapshot.out_adj),
-        "in": _encode_adjacency(snapshot.in_adj),
-        "sorted_index": [
-            [lc, kc, [[list(key), nid] for key, nid in zip(keys, nids)]]
-            for (lc, kc), (keys, nids) in snapshot.sorted_index.items()
-        ],
-        "pair_counts": [
-            [lc, kc, [[list(key), count] for key, count in counts.items()]]
-            for (lc, kc), counts in snapshot.pair_counts.items()
-        ],
-        "etype_counts": sorted(snapshot.etype_counts.items()),
-        "etype_src": [
-            [tc, sorted(counts.items())]
-            for tc, counts in snapshot.etype_src.items()
-        ],
-        "etype_dst": [
-            [tc, sorted(counts.items())]
-            for tc, counts in snapshot.etype_dst.items()
-        ],
-    }
-    body["checksum"] = _checksum(
-        {key: value for key, value in body.items() if key != "checksum"}
-    )
-    return body
-
-
-def from_payload(
-    payload: object, graph: "PropertyGraph"
-) -> ColumnarGraph:
-    """Rebuild a snapshot from :func:`to_payload` output, validated
-    against ``graph`` (which must hold the same nodes and edges)."""
-    if not isinstance(payload, dict):
-        raise ColumnarArtifactError("CSR artifact is not a mapping")
-    checksum = payload.get("checksum")
-    body = {key: value for key, value in payload.items() if key != "checksum"}
-    if checksum != _checksum(body):
-        raise ColumnarArtifactError("CSR artifact checksum mismatch")
-    if body.get("version") != ARTIFACT_VERSION:
-        raise ColumnarArtifactError(
-            f"CSR artifact version {body.get('version')!r} unsupported"
-        )
-    if body.get("byteorder") != sys.byteorder:
-        raise ColumnarArtifactError("CSR artifact byte order mismatch")
-
-    snap = ColumnarGraph()
-    try:
-        snap.labels = list(body["labels"])
-        snap.label_code = {name: i for i, name in enumerate(snap.labels)}
-        snap.etypes = list(body["etypes"])
-        snap.etype_code = {name: i for i, name in enumerate(snap.etypes)}
-        snap.pkeys = list(body["pkeys"])
-        snap.pkey_code = {name: i for i, name in enumerate(snap.pkeys)}
-        snap.node_ids = list(body["node_ids"])
-        snap.node_label_codes = [
-            tuple(codes) for codes in body["node_label_codes"]
-        ]
-        snap.node_cols = {
-            int(code): list(col) for code, col in body["node_cols"].items()
-        }
-        snap.edge_ids = list(body["edge_ids"])
-        snap.edge_cols = {
-            int(code): list(col) for code, col in body["edge_cols"].items()
-        }
-        snap.sorted_index = {
-            (lc, kc): (
-                [tuple(key) for key, _nid in entries],
-                [nid for _key, nid in entries],
-            )
-            for lc, kc, entries in body["sorted_index"]
-        }
-        snap.pair_counts = {
-            (lc, kc): Counter({tuple(key): count for key, count in counts})
-            for lc, kc, counts in body["pair_counts"]
-        }
-        snap.etype_counts = {tc: count for tc, count in body["etype_counts"]}
-        snap.etype_src = {
-            tc: Counter(dict(counts)) for tc, counts in body["etype_src"]
-        }
-        snap.etype_dst = {
-            tc: Counter(dict(counts)) for tc, counts in body["etype_dst"]
-        }
-    except (KeyError, TypeError, ValueError) as error:
-        raise ColumnarArtifactError(
-            f"malformed CSR artifact: {error}"
-        ) from error
-    snap.edge_types = _decode_array(body.get("edge_types"), "I")
-    snap.edge_src = _decode_array(body.get("edge_src"), "I")
-    snap.edge_dst = _decode_array(body.get("edge_dst"), "I")
-    snap.out_adj = _decode_adjacency(body.get("out"))
-    snap.in_adj = _decode_adjacency(body.get("in"))
-
-    n = len(snap.node_ids)
-    e = len(snap.edge_ids)
-    if graph.node_count() != n or graph.edge_count() != e:
-        raise ColumnarArtifactError("CSR artifact does not match the graph")
-    if (
-        len(snap.node_label_codes) != n
-        or len(snap.edge_types) != e
-        or len(snap.edge_src) != e
-        or len(snap.edge_dst) != e
-        or len(snap.out_adj.offsets) != n + 1
-        or len(snap.in_adj.offsets) != n + 1
-        or len(snap.out_adj.eids) != e
-        or len(snap.in_adj.eids) != e
-    ):
-        raise ColumnarArtifactError("CSR artifact has inconsistent shapes")
-    try:
-        snap.node_objs = [graph.node(node_id) for node_id in snap.node_ids]
-        snap.edge_objs = [graph.edge(edge_id) for edge_id in snap.edge_ids]
-    except GraphError as error:
-        raise ColumnarArtifactError(
-            f"CSR artifact references unknown elements: {error}"
-        ) from error
-    snap.node_index = {node_id: i for i, node_id in enumerate(snap.node_ids)}
-    snap.edge_index = {edge_id: i for i, edge_id in enumerate(snap.edge_ids)}
-    for nid, lcodes in enumerate(snap.node_label_codes):
-        for lc in lcodes:
-            snap.label_members.setdefault(lc, []).append(nid)
-            snap.label_sizes[lc] = snap.label_sizes.get(lc, 0) + 1
-    snap.base_node_count = n
-    snap.origin = "artifact"
     return snap

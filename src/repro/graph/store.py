@@ -218,12 +218,14 @@ class PropertyGraph:
     def columnar(self) -> "ColumnarGraph":
         """The CSR snapshot of the current contents, cached per epoch.
 
-        Small mutation batches since the cached snapshot are applied
-        incrementally from the private change log; large batches, ring
-        buffer loss, or any inconsistency fall back to a full recompile
-        (see :mod:`repro.graph.columnar`).  Mid-batch, after a write, an
-        uncached throwaway snapshot is compiled instead, so a mid-batch
-        read sees the mid-batch contents.
+        The first call compiles it.  Small mutation batches since the
+        cached snapshot are applied incrementally from the private
+        change log; a batch over budget, or ring-buffer loss, recompiles
+        in full (see :mod:`repro.graph.columnar`).  An incremental
+        update that fails raises: it is a bug, not a slow path.
+        Mid-batch, after a write, an uncached throwaway snapshot is
+        compiled instead, so a mid-batch read sees the mid-batch
+        contents.
         """
         dirty = self._batch_depth and self._batch_dirty
         cached = self._columnar_cache
@@ -252,28 +254,14 @@ class PropertyGraph:
                 (len(self._nodes) + len(self._edges)) // 4,
             )
             if len(deltas) + cached.overlay_ops <= budget:
-                try:
-                    snapshot = cached.apply_deltas(self, deltas)
-                except Exception:
-                    snapshot = None  # recompile below
-                else:
-                    _metric_inc("graph.csr.incremental_updates")
+                snapshot = cached.apply_deltas(self, deltas)
+                _metric_inc("graph.csr.incremental_updates")
         if snapshot is None:
             snapshot = compile_graph(self)
             _metric_inc("graph.csr.compiles")
         self._columnar_cache = snapshot
         log.clear(through_epoch=self._epoch)
         return snapshot
-
-    @_locked
-    def adopt_columnar(self, snapshot: "ColumnarGraph") -> None:
-        """Install a pre-compiled snapshot (a deserialized artifact) as
-        the columnar cache for the current epoch, so the first query
-        skips compilation entirely."""
-        snapshot.graph_token, snapshot.epoch = self.fingerprint()
-        self._columnar_cache = snapshot
-        if self._columnar_log is None:
-            self._columnar_log = GraphChangeLog().attach(self)
 
     @_locked
     def invalidate_columnar(self) -> None:

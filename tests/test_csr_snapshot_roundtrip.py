@@ -1,16 +1,12 @@
-"""Dataset snapshots carrying compiled CSR artifacts.
+"""Dataset snapshots shipped to worker processes, without a CSR.
 
-The gateway embeds the compiled columnar snapshot in the dataset
-snapshot file (``save_dataset(..., include_csr=True)``) so worker
-processes adopt it instead of recompiling on their hot path.  These
-tests cover the full loop: artifact embedded and checksummed on save,
-adopted on load (counter ``graph.csr.artifact_loads``), identical
-fingerprints and byte-identical mining results in a real worker-style
-subprocess, and the corrupt-artifact path falling back to a lazy
-recompile instead of failing the load.
+The gateway publishes graph-only dataset snapshots; each worker
+process compiles its own CSR on its first query.  These tests cover
+the loop: the published snapshot holds no compiled CSR and loads to the
+same content address, the loaded graph compiles in full on first use,
+and a worker-style subprocess mines byte-identical results.
 """
 
-import io
 import json
 import os
 import subprocess
@@ -20,7 +16,7 @@ from pathlib import Path
 from repro import obs
 from repro.datasets.base import Dataset, DirtReport
 from repro.datasets.snapshot import load_dataset, save_dataset
-from repro.gateway.worker import GatewayWorker
+from repro.gateway import Gateway
 from repro.graph import PropertyGraph
 from repro.mining.persistence import run_to_dict
 from repro.rules.model import ConsistencyRule, RuleKind
@@ -29,8 +25,8 @@ from repro.service import JobRunner, JobSpec, graph_fingerprint
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def tiny_dataset(name: str = "tiny") -> Dataset:
-    graph = PropertyGraph(name)
+def tiny_dataset() -> Dataset:
+    graph = PropertyGraph("tiny")
     for index in range(4):
         graph.add_node(f"u{index}", "User", {
             "id": index, "screen_name": f"@user{index}",
@@ -60,76 +56,39 @@ def mine_once(dataset: Dataset) -> dict:
     }
 
 
-class TestArtifactEmbedding:
-    def test_save_embeds_checksummed_artifact(self, tmp_path):
-        path = save_dataset(
-            tiny_dataset(), tmp_path / "tiny.json", include_csr=True
-        )
-        payload = json.loads(path.read_text())
-        artifact = payload["csr"]
-        assert artifact["version"] == 1
-        assert len(artifact["checksum"]) == 64
-        assert len(artifact["node_ids"]) == 8
-        assert len(artifact["edge_ids"]) == 4
-
-    def test_save_without_flag_omits_artifact(self, tmp_path):
-        path = save_dataset(tiny_dataset(), tmp_path / "tiny.json")
-        assert "csr" not in json.loads(path.read_text())
-
-    def test_load_adopts_artifact(self, tmp_path):
+class TestPublishedSnapshot:
+    def test_gateway_publishes_graph_only_snapshots(self, tmp_path):
         dataset = tiny_dataset()
-        path = save_dataset(
-            dataset, tmp_path / "tiny.json", include_csr=True
+        gateway = Gateway(
+            cache_dir=tmp_path, workers=1, loader=lambda name: dataset,
         )
+        path, fingerprint = gateway._dataset_entry("tiny")
+        assert set(json.loads(Path(path).read_text())) == {
+            "format_version", "graph", "true_rules", "dirt",
+        }
+        assert fingerprint == graph_fingerprint(dataset.graph)
         collector = obs.install()
         try:
             loaded = load_dataset(path)
-            assert collector.metrics.counter(
-                "graph.csr.artifact_loads"
-            ).value() == 1
-            adopted = loaded.graph.columnar()
-            assert adopted.origin == "artifact"
-            # adoption means the first columnar() call compiled nothing
+            assert graph_fingerprint(loaded.graph) == fingerprint
+            assert loaded.graph.columnar().origin == "full"
             assert collector.metrics.counter(
                 "graph.csr.compiles"
-            ).value() == 0
+            ).value() == 1
         finally:
             obs.uninstall()
-        assert graph_fingerprint(loaded.graph) == graph_fingerprint(
-            dataset.graph
-        )
-
-    def test_worker_ensure_snapshot_adopts_artifact(self, tmp_path):
-        dataset = tiny_dataset()
-        path = save_dataset(
-            dataset, tmp_path / "tiny.json", include_csr=True
-        )
-        worker = GatewayWorker(
-            cache_dir=tmp_path / "cache",
-            stdin=io.StringIO(), stdout=io.StringIO(),
-        )
-        worker._ensure_snapshot("tiny", str(path))
-        loaded = worker._datasets["tiny"]
-        assert loaded.graph.columnar().origin == "artifact"
-        assert graph_fingerprint(loaded.graph) == graph_fingerprint(
-            dataset.graph
-        )
 
 
 class TestSubprocessRoundTrip:
     def test_worker_subprocess_mines_byte_identical(self, tmp_path):
         dataset = tiny_dataset()
-        path = save_dataset(
-            dataset, tmp_path / "tiny.json", include_csr=True
-        )
+        path = save_dataset(dataset, tmp_path / "tiny.json")
         script = (
             "import json, sys\n"
             "from repro.datasets.snapshot import load_dataset\n"
             "from repro.mining.persistence import run_to_dict\n"
             "from repro.service import JobRunner, JobSpec, graph_fingerprint\n"
             "dataset = load_dataset(sys.argv[1])\n"
-            "snapshot = dataset.graph.columnar()\n"
-            "assert snapshot.origin == 'artifact', snapshot.origin\n"
             "runner = JobRunner(loader=lambda n: dataset)\n"
             "run = runner.run(JobSpec(\n"
             "    dataset.graph.name, 'llama3', 'rag', 'zero_shot')).run\n"
@@ -146,50 +105,3 @@ class TestSubprocessRoundTrip:
         assert completed.returncode == 0, completed.stderr
         local = json.dumps(mine_once(dataset), sort_keys=True)
         assert completed.stdout.strip() == local
-
-
-class TestCorruptArtifact:
-    def test_corrupt_artifact_falls_back_to_recompile(self, tmp_path):
-        dataset = tiny_dataset()
-        path = save_dataset(
-            dataset, tmp_path / "tiny.json", include_csr=True
-        )
-        payload = json.loads(path.read_text())
-        payload["csr"]["checksum"] = "0" * 64
-        path.write_text(json.dumps(payload))
-        collector = obs.install()
-        try:
-            loaded = load_dataset(path)       # never an error
-            assert collector.metrics.counter(
-                "graph.csr.artifact_fallbacks"
-            ).value() == 1
-            snapshot = loaded.graph.columnar()   # lazy recompile
-            assert snapshot.origin == "full"
-            assert collector.metrics.counter(
-                "graph.csr.compiles"
-            ).value() == 1
-        finally:
-            obs.uninstall()
-        # the graph itself is intact: same content address, same mining
-        assert graph_fingerprint(loaded.graph) == graph_fingerprint(
-            dataset.graph
-        )
-
-    def test_mismatched_graph_artifact_falls_back_too(self, tmp_path):
-        """A well-formed artifact for a *different* graph is rejected by
-        the graph-resolution step, not just the checksum."""
-        dataset = tiny_dataset()
-        other = tiny_dataset("other")
-        other.graph.add_node("extra", "User", {"id": 999})
-        path = save_dataset(
-            dataset, tmp_path / "tiny.json", include_csr=True
-        )
-        other_path = save_dataset(
-            other, tmp_path / "other.json", include_csr=True
-        )
-        payload = json.loads(path.read_text())
-        payload["csr"] = json.loads(other_path.read_text())["csr"]
-        path.write_text(json.dumps(payload))
-        loaded = load_dataset(path)
-        assert loaded.graph.columnar().origin == "full"
-        assert loaded.graph.order() == dataset.graph.order()

@@ -308,27 +308,19 @@ class TestPlannedExecution:
         with pytest.raises(CypherError), reference_engine():
             Executor(g).run(parse(text))
 
-    def test_planner_error_falls_back_to_written_order(self, monkeypatch):
+    def test_planner_error_propagates_from_execute(self, monkeypatch):
+        bug = RuntimeError("planner bug")
+
         def broken(self, query, graph):
-            raise RuntimeError("planner bug")
+            raise bug
 
         monkeypatch.setattr(QueryPlanner, "plan", broken)
-        g = team_graph()
-        collector = obs.install()
-        try:
-            result = Executor(g).run(parse(
+        with pytest.raises(RuntimeError) as raised:
+            execute(team_graph(), (
                 "MATCH (p:Person)-[:MEMBER_OF]->(t:Team) "
                 "WHERE p.age = 22 RETURN count(*) AS c"
             ))
-            errors = collector.metrics.counter("planner.errors").total()
-            frontiers = collector.metrics.counter(
-                "matcher.csr.frontier_expansions"
-            ).total()
-        finally:
-            obs.uninstall()
-        assert result.scalar() == 8
-        assert errors == 1
-        assert frontiers == 40          # one slice per Person, unseeded
+        assert raised.value is bug
 
     def test_raising_prefilter_falls_back_to_written_order(
         self, monkeypatch

@@ -292,7 +292,7 @@ class TestProtocol:
 
     def test_spec_round_trips_through_payload(self):
         spec = protocol.parse_submit(self.valid_payload(base_seed=3))
-        again = protocol.spec_from_payload(protocol.spec_to_payload(spec))
+        again = protocol.parse_submit(spec.config_dict())
         assert again == spec
 
     def test_line_round_trip_and_version_check(self):
@@ -540,6 +540,26 @@ class TestGatewayJobTable:
         assert stats["admitted"] == 1
         assert stats["shed"]["rate_limit"] == 1
 
+    def test_content_address_mismatch_fails_the_job(self, tmp_path):
+        gw = Gateway(cache_dir=tmp_path, workers=1, loader=tiny_dataset)
+        job = gw.submit(dict(self.PAYLOAD))
+        other_id = "f" * 64
+        collector = obs.install()
+        gw.dispatcher._resolve(job, protocol.done_event(
+            job.job_id, ok=True, computed_id=other_id,
+        ))
+        mismatches = collector.metrics.counter(
+            "gateway.fingerprint_mismatches"
+        ).total()
+        assert job.state.value == "failed"
+        assert job.job_id in job.error and other_id in job.error
+        assert "code or dataset snapshot" in job.error
+        assert mismatches == 1
+        assert gw.dispatcher.jobs_failed == 1
+        assert gw.dispatcher.jobs_completed == 0
+        with pytest.raises(GatewayJobFailed, match=other_id):
+            gw.result(job.job_id, timeout=0)
+
     def test_cancel_queued_job(self, tmp_path):
         gw = Gateway(cache_dir=tmp_path, workers=1, loader=tiny_dataset)
         job = gw.submit(dict(self.PAYLOAD))
@@ -556,9 +576,7 @@ class TestGatewayJobTable:
 # ----------------------------------------------------------------------
 class TestWorkerSignals:
     def test_sigterm_during_a_job_drains_it(self, tmp_path, monkeypatch):
-        snapshot = save_dataset(
-            tiny_dataset(), tmp_path / "tiny.json", include_csr=True
-        )
+        snapshot = save_dataset(tiny_dataset(), tmp_path / "tiny.json")
         ops = "".join(
             protocol.encode_line(protocol.job_message(
                 f"job-{seed}",

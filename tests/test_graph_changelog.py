@@ -300,8 +300,23 @@ class TestCompaction:
             node_added("u2", 2),
             node_props("u1", 3, keys=("age",)),
         ])
-        # u1's merged delta is ordered by its *last* activity (epoch 3)
-        assert [d.subject_id for d in compacted] == ["u2", "u1"]
+        # u1's merged delta keeps the position of the add it merged into
+        assert [d.subject_id for d in compacted] == ["u1", "u2"]
+
+    def test_merged_add_stays_ahead_of_an_edge_to_its_node(self):
+        compacted = compact_deltas([
+            node_added("m1", 1, keys=("id",)),
+            GraphDelta(
+                kind=DeltaKind.EDGE_ADDED, epoch=2, subject_id="e1",
+                edge_label="FOLLOWS", src="u0", dst="m1",
+            ),
+            node_props("m1", 3, keys=("name",)),
+        ])
+        assert [(d.kind, d.subject_id) for d in compacted] == [
+            (DeltaKind.NODE_ADDED, "m1"), (DeltaKind.EDGE_ADDED, "e1"),
+        ]
+        assert compacted[0].keys == ("id", "name")
+        assert compacted[0].epoch == 3
 
     def test_live_log_compacts_interleaved_mutations(self):
         graph = build_graph()

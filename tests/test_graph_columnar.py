@@ -1,26 +1,20 @@
 """Unit tests for the columnar CSR graph core.
 
 Covers compilation parity against the object store, epoch caching,
-incremental maintenance from the change log (including the fallback to
-a full recompile when the delta budget is blown), catalog derivation
-(checked against a plain rescan kept here), the checksummed wire
-artifact, the O(1) ``order()``/``size()`` accessors, the matcher
-counters of the CSR walk and EXPLAIN over a variable-length clause.
+incremental maintenance from the change log (including the full
+recompile when the delta budget is blown or the log lost history),
+catalog derivation (checked against a plain rescan kept here), the O(1)
+``order()``/``size()`` accessors, the matcher counters of the CSR walk
+and EXPLAIN over a variable-length clause.
 """
 
-import json
 from collections import Counter, defaultdict
 
 import pytest
 
 from repro import obs
 from repro.cypher import Executor, execute, explain, parse
-from repro.graph import (
-    ColumnarArtifactError,
-    PropertyGraph,
-    compile_graph,
-)
-from repro.graph.columnar import from_payload, to_payload
+from repro.graph import PropertyGraph, compile_graph
 from repro.graph.statistics import (
     MCV_WIDTH,
     EdgeLabelStats,
@@ -197,6 +191,37 @@ class TestIncremental:
         assert incremental.node_count() == fresh.node_count()
         assert incremental.edge_count() == fresh.edge_count()
 
+    def test_edge_to_an_added_node_with_later_props_stays_incremental(
+        self, collector
+    ):
+        # compaction folds the property delta into the node add, which
+        # must still come before the edge that points to the new node
+        graph = sample_graph()
+        graph.columnar()
+        compiles_before = counter(collector, "graph.csr.compiles")
+        with graph.batch():
+            graph.add_node("m1", "User", {"id": 7})
+            graph.add_edge("e9", "FOLLOWS", "a", "m1")
+            graph.update_node("m1", {"name": "mallory"})
+        snapshot = graph.columnar()
+        assert snapshot.origin == "incremental"
+        assert counter(collector, "graph.csr.incremental_updates") == 1
+        assert counter(collector, "graph.csr.compiles") == compiles_before
+        assert_snapshot_matches_store(snapshot, graph)
+        queries = [
+            "MATCH (u:User)-[:FOLLOWS]->(m:User) WHERE m.name = 'mallory' "
+            "RETURN u.id AS src, m.id AS dst",
+            "MATCH (m:User {id: 7}) RETURN m.name AS name",
+            "MATCH (u)-[r]->(v) RETURN type(r) AS t, count(*) AS c "
+            "ORDER BY t",
+        ]
+        incremental = [Executor(graph).run(parse(q)).rows for q in queries]
+        graph.invalidate_columnar()
+        fresh = [Executor(graph).run(parse(q)).rows for q in queries]
+        assert graph.columnar().origin == "full"
+        assert incremental == fresh
+        assert incremental[0] == [{"src": 1, "dst": 7}]
+
     def test_budget_blown_falls_back_to_full(self, collector):
         graph = sample_graph()
         graph.columnar()
@@ -294,53 +319,6 @@ class TestOrderSize:
             graph.add_node(f"n{index}", "N", {})
         assert graph.order() == 500
         assert graph.size() == 0
-
-
-class TestArtifact:
-    def test_round_trip_through_json(self):
-        graph = sample_graph()
-        payload = json.loads(json.dumps(to_payload(graph.columnar())))
-        restored = from_payload(payload, graph)
-        assert restored.origin == "artifact"
-        assert_snapshot_matches_store(restored, graph)
-
-    def test_corrupt_checksum_rejected(self):
-        graph = sample_graph()
-        payload = to_payload(graph.columnar())
-        payload["checksum"] = "0" * 64
-        with pytest.raises(ColumnarArtifactError):
-            from_payload(payload, graph)
-
-    def test_wrong_graph_rejected(self):
-        graph = sample_graph()
-        payload = to_payload(graph.columnar())
-        other = PropertyGraph("other")
-        other.add_node("zz", "User", {})
-        with pytest.raises(ColumnarArtifactError):
-            from_payload(payload, other)
-
-    def test_overlay_snapshot_not_serialisable(self):
-        graph = sample_graph()
-        graph.columnar()
-        graph.update_node("a", {"name": "alicia"})
-        snapshot = graph.columnar()
-        assert snapshot.origin == "incremental"
-        with pytest.raises(ColumnarArtifactError):
-            to_payload(snapshot)
-        # a fresh compile of the same contents serialises fine
-        to_payload(compile_graph(graph))
-
-    def test_adopt_skips_recompile(self, collector):
-        graph = sample_graph()
-        payload = to_payload(compile_graph(graph))
-        target = sample_graph()
-        target.adopt_columnar(from_payload(payload, target))
-        adopted = target.columnar()
-        assert adopted.origin == "artifact"
-        assert counter(collector, "graph.csr.compiles") == 0
-        # mutations after adoption go incremental off the artifact
-        target.update_node("a", {"name": "post-adopt"})
-        assert target.columnar().origin == "incremental"
 
 
 class TestCsrWalk:

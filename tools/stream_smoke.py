@@ -12,7 +12,10 @@ streaming contract end to end:
 2. the debounced watcher runs incremental maintenance and a
    ``rule.drift`` event arrives (the batch plants a property-less User
    node, which violates the mined completeness rules);
-3. the ``/drift`` telemetry endpoint reports the maintenance pass and
+3. the gateway's CSR snapshot absorbed the drift batch incrementally:
+   ``graph.csr.incremental_updates`` grew, ``graph.csr.compiles`` did
+   not, and ``stream.poll_errors`` stayed 0;
+4. the ``/drift`` telemetry endpoint reports the maintenance pass and
    the drift events.
 
 Writes the final ``/drift`` exposition (plus the drift counter state)
@@ -47,7 +50,10 @@ PRIME_BATCH = [
 ]
 
 #: a batch that *must* cause drift: a User node with no properties at
-#: all violates every mined "Each User node should have ..." rule
+#: all violates every mined "Each User node should have ..." rule.  The
+#: property set on ``smoke_host`` after the edge that points to it folds
+#: into the host's add when the change log compacts; the incremental CSR
+#: update must still add the host before the edge.
 DRIFT_BATCH = [
     {"op": "add_node", "id": "smoke_ghost", "labels": ["User"],
      "properties": {}},
@@ -55,7 +61,15 @@ DRIFT_BATCH = [
      "properties": {}},
     {"op": "add_edge", "id": "smoke_rdp", "label": "CAN_RDP",
      "src": "smoke_ghost", "dst": "smoke_host"},
+    {"op": "set_props", "target": "node", "id": "smoke_host",
+     "properties": {"name": "SMOKE-HOST"}},
 ]
+
+#: gateway-process counters read before and after the drift batch
+CSR_COUNTERS = (
+    "graph.csr.incremental_updates", "graph.csr.compiles",
+    "stream.poll_errors",
+)
 
 
 def fail(message: str) -> int:
@@ -129,6 +143,13 @@ def main(argv: list[str] | None = None) -> int:
             )
         print("  watcher primed (baseline rule set mined)")
 
+        def csr_counters():
+            return {
+                name: collector.metrics.counter(name).total()
+                for name in CSR_COUNTERS
+            }
+
+        csr_before = csr_counters()
         ack = client.mutate(args.dataset, DRIFT_BATCH)
         if ack["applied"] != len(DRIFT_BATCH):
             return fail(
@@ -187,6 +208,25 @@ def main(argv: list[str] | None = None) -> int:
             f"event(s) {kinds}, "
             f"{telemetry['maintenance']['batches']} maintenance pass(es)"
         )
+
+        # --------------------------------------------------------------
+        # 3. the drift batch reached the CSR incrementally, without error
+        # --------------------------------------------------------------
+        csr_after = csr_counters()
+        grown = {
+            name: csr_after[name] - csr_before[name] for name in CSR_COUNTERS
+        }
+        if (
+            grown["graph.csr.incremental_updates"] < 1
+            or grown["graph.csr.compiles"]
+            or csr_after["stream.poll_errors"]
+        ):
+            return fail(
+                f"the drift batch did not update the CSR incrementally "
+                f"(counter growth across the batch: {grown}; "
+                f"stream.poll_errors={csr_after['stream.poll_errors']})"
+            )
+        print(f"  CSR updated incrementally: {grown}")
 
         stats = client.stats()
         if stats["watch"]["watched"] != [args.dataset]:
