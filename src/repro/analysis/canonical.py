@@ -46,7 +46,7 @@ from repro.cypher.ast_nodes import (
     map_children,
 )
 from repro.analysis.dataflow import iter_variables
-from repro.cypher.render import render_expression
+from repro.cypher.render import render_binary, render_expression
 
 _FLIP_COMPARISON = {">": "<", ">=": "<="}
 _COMMUTATIVE = ("=", "<>", "AND", "OR", "XOR")
@@ -62,12 +62,31 @@ class _Renamer:
     def __init__(self, rename: dict[str, str]) -> None:
         self.rename = rename
         self.depth = 0
+        # id -> (expression, text) of what this renamer rendered; the
+        # expression is held so that its id cannot be reused
+        self._texts: dict[int, tuple[Expression, str]] = {}
 
     def name(self, original: str) -> str:
         return self.rename.get(original, f"?{original}")
 
     def text(self, expr: Expression) -> str:
-        return render_expression(self.transform(expr))
+        return self.render(self.transform(expr))
+
+    def render(self, expr: Expression) -> str:
+        """``render_expression(expr)``, with each operator's operands
+        rendered once: a binary operator's text is joined from the
+        texts this renamer already holds for its operands."""
+        held = self._texts.get(id(expr))
+        if held is not None and held[0] is expr:
+            return held[1]
+        if isinstance(expr, BinaryOp):
+            text = render_binary(
+                expr, self.render(expr.left), self.render(expr.right)
+            )
+        else:
+            text = render_expression(expr)
+        self._texts[id(expr)] = (expr, text)
+        return text
 
     def transform(self, expr: Expression) -> Expression:
         rewrite = _REWRITES.get(type(expr))
@@ -88,7 +107,7 @@ class _Renamer:
         haystack = self.transform(expr.haystack)
         if isinstance(haystack, ListLiteral):
             haystack = ListLiteral(tuple(sorted(
-                haystack.items, key=render_expression
+                haystack.items, key=self.render
             )))
         return InList(self.transform(expr.needle), haystack)
 
@@ -119,7 +138,7 @@ class _Renamer:
             operands = [
                 self.transform(item) for item in flatten(expr.op, expr)
             ]
-            operands.sort(key=render_expression)
+            operands.sort(key=self.render)
             result = operands[0]
             for operand in operands[1:]:
                 result = BinaryOp(expr.op, result, operand)
@@ -131,9 +150,7 @@ class _Renamer:
             # only < and <= survive canonicalization
             op = _FLIP_COMPARISON[op]
             left, right = right, left
-        elif op in ("=", "<>") and (
-            render_expression(right) < render_expression(left)
-        ):
+        elif op in ("=", "<>") and self.render(right) < self.render(left):
             left, right = right, left
         return BinaryOp(op, left, right)
 

@@ -46,7 +46,12 @@ from repro.cypher.errors import (
 )
 from repro.cypher.evaluator import EvalContext, evaluate
 from repro.cypher.functions import aggregate, is_aggregate
-from repro.cypher.matcher import MatchStats, Path, match_patterns
+from repro.cypher.matcher import (
+    MatchStats,
+    Path,
+    count_matches,
+    match_patterns,
+)
 from repro.cypher.parser import parse_cached
 from repro.cypher.planner import QueryPlanner
 from repro.graph.model import Edge, Node
@@ -169,6 +174,18 @@ def _evaluate_with_aggregates(
     return evaluate(substitute(expr), ctx)
 
 
+def _record_match(
+    stats: MatchStats, clause_plan: "ClausePlan | None", actual: int
+) -> None:
+    obs.inc("matcher.seeds", stats.seeds)
+    obs.inc("matcher.expansions", stats.expansions)
+    obs.inc("matcher.visits", stats.visits)
+    obs.inc("matcher.csr.frontier_expansions", stats.frontiers)
+    if clause_plan is not None:
+        obs.observe("planner.estimated_rows", clause_plan.estimate)
+        obs.observe("planner.actual_rows", actual)
+
+
 class Executor:
     """Executes parsed queries against a property graph."""
 
@@ -223,6 +240,15 @@ class Executor:
         for clause_index, clause in enumerate(query.clauses):
             if isinstance(clause, MatchClause):
                 clause_plan = plan.clause_plan(branch, clause_index)
+                if clause_plan.count is not None:
+                    # the planner checked the statement is exactly
+                    # MATCH … RETURN count(*) AS x: answer without rows
+                    column = query.return_clause.items[0].column_name
+                    count = self._count_clause(clause, clause_plan)
+                    return QueryResult(
+                        columns=[column], rows=[{column: count}],
+                        stats=self._stats,
+                    )
                 rows = list(self._apply_match(clause, rows, clause_plan))
             elif isinstance(clause, UnwindClause):
                 rows = list(self._apply_unwind(clause, rows))
@@ -499,13 +525,18 @@ class Executor:
                         padded.setdefault(variable, None)
                     yield padded
         finally:
-            obs.inc("matcher.seeds", stats.seeds)
-            obs.inc("matcher.expansions", stats.expansions)
-            obs.inc("matcher.visits", stats.visits)
-            obs.inc("matcher.csr.frontier_expansions", stats.frontiers)
-            if clause_plan is not None:
-                obs.observe("planner.estimated_rows", clause_plan.estimate)
-                obs.observe("planner.actual_rows", matched_total)
+            _record_match(stats, clause_plan, matched_total)
+
+    def _count_clause(
+        self, clause: MatchClause, clause_plan: "ClausePlan"
+    ) -> int:
+        """The number of matches of a count-only clause, counted on the
+        snapshot (``clause`` is what the reference matcher counts)."""
+        stats = MatchStats()
+        count = count_matches(self.graph, clause_plan, self.parameters, stats)
+        _record_match(stats, clause_plan, count)
+        obs.inc("cypher.counted", how=clause_plan.count)
+        return count
 
     def _match_row(
         self,

@@ -18,12 +18,19 @@ of the graph's current epoch (:class:`repro.graph.columnar.ColumnarGraph`):
 * a variable-length relationship iterates that frontier hop by hop, an
   explicit stack of slices standing in for recursion;
 * label filtering compares interned label codes;
-* pushed-down WHERE prefilters of the shape ``var.key = <literal>`` /
-  ``var.key IS [NOT] NULL`` are evaluated against the property columns
-  *before* a bindings dict is materialized — only the order-preserved
-  remainder goes through the general evaluator;
+* pushed-down WHERE prefilters of the shape ``x.key = <constant>``,
+  ``x.key IN [<constants>]`` and ``x.key IS [NOT] NULL``, where ``x`` is
+  the node or the (fixed-length) relationship being bound, are
+  evaluated against the property columns *before* a bindings dict is
+  materialized — only the order-preserved remainder goes through the
+  general evaluator;
 * relationship uniqueness is a bitset keyed by dense edge id, set on
   descent and cleared on backtrack.
+
+:func:`count_matches` answers a clause the planner marked count-only
+(one node or one typed hop, every filter a column test) without
+building any bindings: from the snapshot's live totals when nothing
+filters, else by walking the planned seed and the typed slice.
 
 A planned clause runs the planner's steps (:mod:`repro.cypher.planner`):
 reordered and possibly reversed patterns, a :class:`SeedSpec` per
@@ -41,7 +48,9 @@ from typing import Iterator, Mapping, Sequence
 from repro.cypher.ast_nodes import (
     BinaryOp,
     Expression,
+    InList,
     IsNull,
+    ListLiteral,
     Literal,
     NodePattern,
     PathPattern,
@@ -60,8 +69,14 @@ from repro.graph.store import PropertyGraph, property_index_key
 #: relationship) is bound
 Checks = Mapping[int, Sequence[Expression]]
 
-#: a column prefilter: ("eq", key, literal) or ("null", key, negated)
-_ColumnTest = tuple[str, str, object]
+#: a column prefilter ``(on_edge, key, kind, payload)``: kind ``"eq"``
+#: (payload: the constant), ``"in"`` (payload: a tuple of constants) or
+#: ``"null"`` (payload: the IS NOT NULL flag), read from the edge's
+#: columns when ``on_edge`` and from the node's otherwise
+_ColumnTest = tuple[bool, str, str, object]
+
+#: no constant: :func:`_constant`'s answer for anything else
+_NOT_CONSTANT = object()
 
 
 @dataclass(frozen=True)
@@ -208,41 +223,69 @@ def _checks_pass(
 # ----------------------------------------------------------------------
 # column prefilters
 # ----------------------------------------------------------------------
+def _constant(expr: Expression) -> object:
+    """The value of a literal, or of a list literal of constants, else
+    :data:`_NOT_CONSTANT`."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, ListLiteral):
+        items = [_constant(item) for item in expr.items]
+        if any(item is _NOT_CONSTANT for item in items):
+            return _NOT_CONSTANT
+        return items
+    return _NOT_CONSTANT
+
+
 def _column_test(
-    predicate: Expression, variable: str | None
+    predicate: Expression, variable: str | None, rel_variable: str | None
 ) -> _ColumnTest | None:
     """Compile one pushed conjunct into a column test, if it only reads
-    ``variable``'s own properties against constants (such a test cannot
-    raise and cannot see any other binding)."""
-    if variable is None:
-        return None
-    if isinstance(predicate, IsNull):
-        operand = predicate.operand
-        if (
-            isinstance(operand, PropertyAccess)
-            and isinstance(operand.subject, Variable)
-            and operand.subject.name == variable
+    one property of ``variable`` (the node) or ``rel_variable`` (the
+    relationship bound with it) against constants.  Such a test cannot
+    raise and cannot see any other binding."""
+
+    def owner(expr: Expression) -> bool | None:
+        # on_edge for a property of the node or the relationship
+        if isinstance(expr, PropertyAccess) and isinstance(
+            expr.subject, Variable
         ):
-            return ("null", operand.key, predicate.negated)
+            name = expr.subject.name
+            if name == variable:
+                return False
+            if name == rel_variable:
+                return True
         return None
+
+    if isinstance(predicate, IsNull):
+        on_edge = owner(predicate.operand)
+        if on_edge is None:
+            return None
+        return (on_edge, predicate.operand.key, "null", predicate.negated)
     if isinstance(predicate, BinaryOp) and predicate.op == "=":
-        sides = (
+        for prop, other in (
             (predicate.left, predicate.right),
             (predicate.right, predicate.left),
-        )
-        for prop, literal in sides:
-            if (
-                isinstance(prop, PropertyAccess)
-                and isinstance(prop.subject, Variable)
-                and prop.subject.name == variable
-                and isinstance(literal, Literal)
-            ):
-                return ("eq", prop.key, literal.value)
+        ):
+            on_edge = owner(prop)
+            value = _constant(other)
+            if on_edge is not None and value is not _NOT_CONSTANT:
+                return (on_edge, prop.key, "eq", value)
+        return None
+    if isinstance(predicate, InList):
+        on_edge = owner(predicate.needle)
+        if on_edge is None or not isinstance(predicate.haystack, ListLiteral):
+            return None
+        values = _constant(predicate.haystack)
+        if values is _NOT_CONSTANT:
+            return None
+        return (on_edge, predicate.needle.key, "in", tuple(values))
     return None
 
 
 def _column_prefix(
-    predicates: Sequence[Expression] | None, variable: str | None
+    predicates: Sequence[Expression] | None,
+    variable: str | None,
+    rel_variable: str | None,
 ) -> tuple[tuple[_ColumnTest, ...], tuple[Expression, ...]]:
     """Split pushed conjuncts into a *leading* run of column tests plus
     the order-preserved remainder.
@@ -256,7 +299,7 @@ def _column_prefix(
     fast: list[_ColumnTest] = []
     remainder = list(predicates)
     while remainder:
-        test = _column_test(remainder[0], variable)
+        test = _column_test(remainder[0], variable, rel_variable)
         if test is None:
             break
         fast.append(test)
@@ -264,13 +307,37 @@ def _column_prefix(
     return tuple(fast), tuple(remainder)
 
 
+def _bind_columns(
+    snapshot: ColumnarGraph, tests: Sequence[_ColumnTest]
+) -> tuple[tuple[bool, Sequence[object], str, object], ...]:
+    """Resolve each test's key to its node or edge property column, once
+    per snapshot."""
+    return tuple(
+        (on_edge, snapshot.column(key, on_edge), kind, payload)
+        for on_edge, key, kind, payload in tests
+    )
+
+
 def _passes_columns(
-    snapshot: ColumnarGraph, nid: int, tests: tuple[_ColumnTest, ...]
+    nid: int,
+    eid: int,
+    tests: tuple[tuple[bool, Sequence[object], str, object], ...],
 ) -> bool:
-    for kind, key, payload in tests:
-        value = snapshot.node_prop(nid, key)
+    """True when every bound test holds for node ``nid`` and edge
+    ``eid`` (-1 where no relationship is bound, so no edge tests
+    exist); IN and ``=`` keep Cypher's ternary results, and only
+    ``true`` passes."""
+    for on_edge, column, kind, payload in tests:
+        row = eid if on_edge else nid
+        value = column[row] if row < len(column) else None
         if kind == "eq":
             if _equals(value, payload) is not True:
+                return False
+        elif kind == "in":
+            for item in payload:
+                if _equals(value, item) is True:
+                    break
+            else:
                 return False
         else:  # "null": payload is the IS NOT NULL flag
             if (value is None) == payload:
@@ -283,26 +350,36 @@ def _prepare_pattern(
     pattern: PathPattern,
     checks: Checks,
 ) -> dict[int, object]:
-    """Per-element int-domain metadata: the typed-slice code for each
-    relationship, and (label codes, column prefilters, residual checks)
-    for each node element."""
+    """Per-element int-domain metadata: (typed-slice code, variable-length
+    flag) for each relationship, and (label codes, column prefilters,
+    residual checks) for each node element."""
     meta: dict[int, object] = {}
-    for index, element in enumerate(pattern.elements):
+    elements = pattern.elements
+    for index, element in enumerate(elements):
         if isinstance(element, RelPattern):
             meta[index] = (
                 snapshot.single_type_code(element.types[0])
                 if len(element.types) == 1
-                else None
+                else None,
+                element.is_variable_length,
             )
         else:
             codes = tuple(
                 snapshot.label_code.get(label, -1)
                 for label in element.labels
             )
-            fast, rest = _column_prefix(
-                checks.get(index), element.variable
+            # a relationship bound with this node reads as one edge only
+            # when it is fixed-length (a variable-length one is a list)
+            rel = elements[index - 1] if index else None
+            rel_variable = (
+                rel.variable
+                if rel is not None and not rel.is_variable_length
+                else None
             )
-            meta[index] = (codes, fast, rest)
+            fast, rest = _column_prefix(
+                checks.get(index), element.variable, rel_variable
+            )
+            meta[index] = (codes, _bind_columns(snapshot, fast), rest)
     return meta
 
 
@@ -455,14 +532,14 @@ def _walk(
 
     rel: RelPattern = elements[index]          # type: ignore[assignment]
     next_pattern: NodePattern = elements[index + 1]  # type: ignore
-    rel_tc = meta[index]
+    rel_tc, variable_length = meta[index]
     codes, fast, rest = meta[index + 1]
     node_bound = (
         next_pattern.variable is not None
         and next_pattern.variable in bindings
     )
 
-    if rel.is_variable_length:
+    if variable_length:
         for eids, end in _hops(
             graph, snapshot, nid, rel, rel_tc, bindings, used,
             parameters, stats,
@@ -488,7 +565,7 @@ def _walk(
                 bound = bindings[next_pattern.variable]
                 if not isinstance(bound, Node) or bound.id != endpoint.id:
                     continue
-            if eids and fast and not _passes_columns(snapshot, end, fast):
+            if eids and fast and not _passes_columns(end, -1, fast):
                 continue
             edges = [snapshot.edge_objs[eid] for eid in eids]
             new_bindings = dict(bindings)
@@ -532,7 +609,7 @@ def _walk(
             bound = bindings[next_pattern.variable]
             if not isinstance(bound, Node) or bound.id != neighbour.id:
                 continue
-        if fast and not _passes_columns(snapshot, nbr, fast):
+        if fast and not _passes_columns(nbr, eid, fast):
             continue
         new_bindings = dict(bindings)
         if rel.variable:
@@ -617,7 +694,7 @@ def _path_matches(
             graph, start, first.properties, bindings, parameters
         ):
             continue
-        if fast and not _passes_columns(snapshot, nid, fast):
+        if fast and not _passes_columns(nid, -1, fast):
             continue
         start_bindings = dict(bindings)
         if first.variable:
@@ -673,6 +750,111 @@ def match_patterns(
             yield from recurse(index + 1, new_bindings)
 
     yield from recurse(0, bindings)
+
+
+def count_tests(
+    pattern: PathPattern, checks: Checks
+) -> tuple[tuple[_ColumnTest, ...], ...] | None:
+    """The column tests of each node element of a one-node or one-hop
+    pattern: its inline property maps (the hop's own map joins its end
+    node's tests) and its pushed checks, or None when one of them is not
+    a column test, so the clause must walk rows."""
+    elements = pattern.elements
+    per_node = []
+    for index in range(0, len(elements), 2):
+        node = elements[index]
+        rel = elements[index - 1] if index else None
+        maps = [(False, key, value) for key, value in node.properties]
+        if rel is not None:
+            maps += [(True, key, value) for key, value in rel.properties]
+        tests = []
+        for on_edge, key, value_expr in maps:
+            value = _constant(value_expr)
+            if value is _NOT_CONSTANT:
+                return None
+            tests.append((on_edge, key, "eq", value))
+        for predicate in checks.get(index, ()):
+            test = _column_test(
+                predicate, node.variable, rel.variable if rel else None
+            )
+            if test is None:
+                return None
+            tests.append(test)
+        per_node.append(tuple(tests))
+    return tuple(per_node)
+
+
+def count_matches(
+    graph: PropertyGraph,
+    plan: object,
+    parameters: Mapping[str, object] | None = None,
+    stats: MatchStats | None = None,
+) -> int:
+    """The number of matches of a clause the planner marked count-only
+    (a :class:`repro.cypher.planner.ClausePlan` whose ``count`` is set:
+    one step, one node or one single-type directed hop, every filter a
+    column test), found without building a bindings dict.
+
+    ``"total"`` reads the snapshot's live totals (``node_count``,
+    ``label_sizes`` or ``etype_counts``) and seeds nothing.  ``"scan"``
+    walks the planned seed and the typed slice as the row walk does,
+    with the same ``stats``, and counts what passes the label codes and
+    column tests.
+    """
+    step = plan.steps[0]
+    elements = step.pattern.elements
+    snapshot = graph.columnar()
+    if plan.count == "total":
+        if len(elements) == 1:
+            if not elements[0].labels:
+                return snapshot.node_count()
+            code = snapshot.label_code.get(elements[0].labels[0])
+            return 0 if code is None else snapshot.label_sizes.get(code, 0)
+        code = snapshot.etype_code.get(elements[1].types[0])
+        return 0 if code is None else snapshot.etype_counts.get(code, 0)
+
+    tests = [
+        _bind_columns(snapshot, node_tests)
+        for node_tests in count_tests(step.pattern, step.checks)
+    ]
+    codes = [
+        tuple(snapshot.label_code.get(label, -1) for label in node.labels)
+        for node in elements[::2]
+    ]
+    first_codes, first_tests = codes[0], tests[0]
+    hop = len(elements) == 3
+    if hop:
+        rel_tc = snapshot.single_type_code(elements[1].types[0])
+        out = elements[1].direction == "out"
+        end_codes, end_tests = codes[1], tests[1]
+    has_labels = snapshot.has_labels
+    count = seeded = visits = frontiers = 0
+    for nid in _seed_nids(
+        graph, snapshot, elements[0], step.seed, {}, parameters
+    ):
+        seeded += 1
+        if first_codes and not has_labels(nid, first_codes):
+            continue
+        if first_tests and not _passes_columns(nid, -1, first_tests):
+            continue
+        if not hop:
+            count += 1
+            continue
+        # one typed slice in one direction, as ``_adjacent`` fetches it
+        frontiers += 1
+        for eid, nbr in snapshot.adjacency(nid, rel_tc, out):
+            visits += 1
+            if end_codes and not has_labels(nbr, end_codes):
+                continue
+            if end_tests and not _passes_columns(nbr, eid, end_tests):
+                continue
+            count += 1
+    if stats is not None:
+        stats.seeds += seeded
+        stats.frontiers += frontiers
+        stats.visits += visits
+        stats.expansions += visits
+    return count
 
 
 def pattern_exists(

@@ -21,7 +21,14 @@ count queries per mined rule, repeated across the experiment grid):
   Because pruned rows skip residual evaluation, a planned query may
   *suppress* a runtime error the whole WHERE would have raised on a row
   that a pushed predicate already rejected — standard
-  cost-based-planner semantics.
+  cost-based-planner semantics;
+* **count pushdown** — a statement ``MATCH <one node or one typed
+  directed hop> [WHERE …] RETURN count(*) AS x`` whose every filter is
+  a column test on one element's own property is marked count-only
+  (:attr:`ClausePlan.count`): the matcher counts it on the CSR snapshot
+  (:func:`repro.cypher.matcher.count_matches`) and builds no rows,
+  reading a live total when nothing filters (``"total"``) and walking
+  the planned seed otherwise (``"scan"``).
 
 Plans are advisory: seeds fall back to label scans when a lookup value
 is unindexable, and every candidate is re-verified by the matcher, so a
@@ -39,6 +46,7 @@ from repro.cypher.ast_nodes import (
     BinaryOp,
     CreateClause,
     Expression,
+    FunctionCall,
     InList,
     IsNull,
     LabelPredicate,
@@ -52,6 +60,7 @@ from repro.cypher.ast_nodes import (
     PropertyAccess,
     Query,
     RelPattern,
+    ReturnClause,
     SingleQuery,
     StringPredicate,
     UnaryOp,
@@ -62,7 +71,7 @@ from repro.cypher.ast_nodes import (
     and_all,
     flatten,
 )
-from repro.cypher.matcher import SeedSpec
+from repro.cypher.matcher import SeedSpec, count_tests
 from repro.graph.statistics import GraphCatalog
 from repro.graph.store import PropertyGraph
 
@@ -97,12 +106,17 @@ class PlannedPattern:
 
 @dataclass
 class ClausePlan:
-    """Execution plan for one MATCH clause."""
+    """Execution plan for one MATCH clause.
+
+    ``count`` is ``"total"`` or ``"scan"`` when the clause is counted
+    without rows (see :func:`_count_kind`), else None.
+    """
 
     steps: tuple[PlannedPattern, ...]
     prefilter: tuple[Expression, ...]
     residual: Optional[Expression]
     estimate: float
+    count: Optional[str] = None
 
 
 @dataclass
@@ -578,6 +592,68 @@ def _plan_match_clause(
     )
 
 
+def _counts_only(query: SingleQuery) -> bool:
+    """True for ``MATCH <one pattern> [WHERE …] RETURN count(*) AS x``:
+    one plain MATCH whose only consumer is a lone ``count(*)``."""
+    if len(query.clauses) != 2:
+        return False
+    match, ret = query.clauses
+    if not (
+        isinstance(match, MatchClause)
+        and not match.optional
+        and len(match.patterns) == 1
+        and match.patterns[0].variable is None
+        and isinstance(ret, ReturnClause)
+        and not (ret.distinct or ret.star or ret.order_by)
+        and ret.skip is None
+        and ret.limit is None
+        and len(ret.items) == 1
+    ):
+        return False
+    call = ret.items[0].expression
+    return (
+        isinstance(call, FunctionCall)
+        and call.name == "count"
+        and call.star
+    )
+
+
+def _count_kind(query: SingleQuery, plan: ClausePlan) -> Optional[str]:
+    """How the first clause of a count-only statement is counted:
+    ``"total"`` (a live total of the snapshot), ``"scan"`` (walk the
+    planned seed, build no rows) or None (walk rows).
+
+    Counted patterns are one node, or one fixed-length hop with one type
+    and a direction, with distinct variables; every WHERE conjunct and
+    inline property must compile to a column test.
+    """
+    if not _counts_only(query) or plan.prefilter or plan.residual is not None:
+        return None
+    (step,) = plan.steps
+    elements = step.pattern.elements
+    if len(elements) == 3:
+        rel = elements[1]
+        if (
+            rel.is_variable_length
+            or len(rel.types) != 1
+            or rel.direction == "any"
+        ):
+            return None
+    elif len(elements) != 1:
+        return None
+    names = [element.variable for element in elements if element.variable]
+    if len(set(names)) != len(names):
+        return None
+    tests = count_tests(step.pattern, step.checks)
+    if tests is None:
+        return None
+    labels = [node.labels for node in elements[::2]]
+    unlabelled = (
+        len(labels[0]) <= 1 if len(elements) == 1 else not any(labels)
+    )
+    return "total" if unlabelled and not any(tests) else "scan"
+
+
 def _plan_branch(
     branch_index: int,
     query: SingleQuery,
@@ -590,6 +666,9 @@ def _plan_branch(
             out[(branch_index, clause_index)] = _plan_match_clause(
                 clause, snapshots[clause_index], catalog
             )
+    first = out.get((branch_index, 0))
+    if first is not None:
+        first.count = _count_kind(query, first)
 
 
 # ----------------------------------------------------------------------
@@ -613,6 +692,12 @@ class QueryPlanner:
 # ----------------------------------------------------------------------
 # EXPLAIN rendering
 # ----------------------------------------------------------------------
+_COUNT_TEXT = {
+    "total": "total (a live total of the snapshot; no walk, no rows)",
+    "scan": "scan (walks the seed below; no rows built)",
+}
+
+
 def _describe_seed(step: PlannedPattern) -> str:
     seed = step.seed
     first = step.pattern.elements[0]
@@ -661,6 +746,8 @@ def explain(query: Query, graph: PropertyGraph) -> str:
                 f"+- {keyword} (clause {clause_index + 1}, "
                 f"estimated rows ~{clause_plan.estimate:.1f})"
             )
+            if clause_plan.count is not None:
+                lines.append(f"|  count: {_COUNT_TEXT[clause_plan.count]}")
             for conjunct in clause_plan.prefilter:
                 lines.append(
                     f"|  prefilter: {render_expression(conjunct)}"

@@ -72,12 +72,9 @@ def render_expression(expr: Expression) -> str:
     if isinstance(expr, PropertyAccess):
         return f"{render_expression(expr.subject)}.{expr.key}"
     if isinstance(expr, BinaryOp):
-        left = render_expression(expr.left)
-        right = render_expression(expr.right)
-        if expr.op in ("AND", "OR", "XOR"):
-            left = _maybe_paren(expr.left, left)
-            right = _maybe_paren(expr.right, right)
-        return f"{left} {expr.op} {right}"
+        return render_binary(
+            expr, render_expression(expr.left), render_expression(expr.right)
+        )
     if isinstance(expr, UnaryOp):
         operand = render_expression(expr.operand)
         if expr.op == "NOT":
@@ -159,6 +156,14 @@ _FUNCTION_CASE = {
     "toboolean": "toBoolean", "toupper": "toUpper", "tolower": "toLower",
     "startnode": "startNode", "endnode": "endNode",
 }
+
+
+def render_binary(expr: BinaryOp, left: str, right: str) -> str:
+    """``expr`` rendered from its operands' rendered texts."""
+    if expr.op in ("AND", "OR", "XOR"):
+        left = _maybe_paren(expr.left, left)
+        right = _maybe_paren(expr.right, right)
+    return f"{left} {expr.op} {right}"
 
 
 def _maybe_paren(expr: Expression, text: str) -> str:

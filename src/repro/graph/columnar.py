@@ -223,23 +223,11 @@ class ColumnarGraph:
     def node_int(self, node_id: str) -> int | None:
         return self.node_index.get(node_id)
 
-    def node_prop(self, nid: int, key: str) -> object:
-        code = self.pkey_code.get(key)
-        if code is None:
-            return None
-        col = self.node_cols.get(code)
-        if col is None or nid >= len(col):
-            return None
-        return col[nid]
-
-    def edge_prop(self, eid: int, key: str) -> object:
-        code = self.pkey_code.get(key)
-        if code is None:
-            return None
-        col = self.edge_cols.get(code)
-        if col is None or eid >= len(col):
-            return None
-        return col[eid]
+    def column(self, key: str, edges: bool = False) -> Sequence[object]:
+        """The node (or edge) property column of ``key``, by dense id;
+        rows past its end, and every row of an unknown key, are null."""
+        columns = self.edge_cols if edges else self.node_cols
+        return columns.get(self.pkey_code.get(key), ())
 
     def has_labels(self, nid: int, label_codes: Sequence[int]) -> bool:
         own = self.node_label_codes[nid]

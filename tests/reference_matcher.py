@@ -7,9 +7,11 @@ snapshot — and the clause's full WHERE is applied to each complete
 match.  That encodes the engine's error semantics: an error in WHERE
 surfaces only on rows that match.
 
-:func:`reference_engine` swaps it in for ``Executor._match_row`` and for
-the matcher's ``pattern_exists`` (which answers pattern predicates), so
-the same ``Executor(graph).run(query)`` call yields the oracle's rows.
+:func:`reference_engine` swaps it in for ``Executor._match_row``, for
+``Executor._count_clause`` (which answers the clauses the planner marks
+count-only, by counting the reference's matches) and for the matcher's
+``pattern_exists`` (which answers pattern predicates), so the same
+``Executor(graph).run(query)`` call yields the oracle's rows.
 """
 
 from contextlib import contextmanager
@@ -171,6 +173,12 @@ def _reference_match_row(executor, clause, clause_plan, row, stats):
             yield bindings
 
 
+def _reference_count_clause(executor, clause, clause_plan):
+    return sum(
+        1 for _ in _reference_match_row(executor, clause, None, {}, None)
+    )
+
+
 def _reference_pattern_exists(graph, pattern, bindings, parameters=None):
     for _match in reference_matches(
         graph, (pattern,), bindings, parameters or {}
@@ -181,9 +189,12 @@ def _reference_pattern_exists(graph, pattern, bindings, parameters=None):
 
 @contextmanager
 def reference_engine():
-    """Run every ``Executor`` MATCH and pattern predicate on the
-    reference matcher for the duration of the block."""
+    """Run every ``Executor`` MATCH, count-only clause and pattern
+    predicate on the reference matcher for the duration of the block."""
     with mock.patch.object(Executor, "_match_row", _reference_match_row), \
+            mock.patch.object(
+                Executor, "_count_clause", _reference_count_clause
+            ), \
             mock.patch.object(
                 matcher, "pattern_exists", _reference_pattern_exists
             ):

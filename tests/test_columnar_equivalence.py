@@ -9,10 +9,12 @@ row multiset as the brute-force reference in
 that raise.
 
 Graphs here extend the planner-equivalence strategy with unicode string
-properties, explicit ``None`` property values, self-loops and parallel
-edges; queries reuse the full planner corpus plus columnar stress
-queries (column-pushable equality on unicode values, IS NULL on a
-stored-None column, and comparisons that raise a type error).
+properties, list properties, explicit ``None`` property values,
+self-loops and parallel edges; queries reuse the full planner corpus
+plus columnar stress queries (column-pushable equality on unicode and
+list values, IS NULL on a stored-None column, relationship-property
+column tests, counts answered without rows, and comparisons that raise
+a type error).
 """
 
 from collections import Counter
@@ -31,6 +33,7 @@ from tests.test_planner_equivalence import (
 )
 
 _UNICODE = ("", "å", "日本", "ß∂ƒ", "naïve", "🎈")
+_LISTS = ([1, 2], [1.0, 2.0], [True, 2], [], ["å"], [2, 1])
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +54,8 @@ def rich_graphs(draw):
             properties["u"] = draw(st.sampled_from(_UNICODE))
         if draw(st.booleans()):
             properties["nil"] = None          # stored null, not absent
+        if draw(st.booleans()):
+            properties["l"] = list(draw(st.sampled_from(_LISTS)))
         nodes.append((f"n{index}", labels, properties))
     edge_count = draw(st.integers(min_value=0, max_value=2 * node_count))
     edges = []
@@ -95,6 +100,25 @@ COLUMNAR_EXTRAS = (
     # unicode values surviving aggregation + ordering
     "MATCH (a) WHERE a.u IS NOT NULL "
     "RETURN a.u AS u, count(*) AS c ORDER BY u",
+    # relationship-property and IN column tests on the row walk
+    "MATCH (a:A)-[r:R]->(b) WHERE r.w IN [0, 1.0] AND b.u IS NOT NULL "
+    "RETURN a.p AS x, r.w AS w",
+    # counts without rows: relationship-property tests, both directions
+    "MATCH ()-[r:R]->() WHERE r.w IS NOT NULL RETURN count(*) AS c",
+    "MATCH ()-[r:S]->() WHERE r.w IS NULL RETURN count(*) AS c",
+    "MATCH (a:A)<-[r:S]-(b) WHERE r.w = 1 AND b.u = 'å' "
+    "RETURN count(*) AS c",
+    "MATCH ()-[r:R {w: 2}]->(b:B) RETURN count(*) AS c",
+    "MATCH (a)-[r:S]->() WHERE r.w IN [0, 2.0, null] RETURN count(*) AS c",
+    # ... unicode strings, stored nulls and list values
+    "MATCH (n) WHERE n.u IN ['日本', '🎈', ''] RETURN count(*) AS c",
+    "MATCH (n:B) WHERE n.nil IS NULL AND n.u = 'naïve' "
+    "RETURN count(*) AS c",
+    "MATCH (n) WHERE n.nil IS NOT NULL RETURN count(*) AS c",
+    "MATCH (n) WHERE n.l = [1, 2] RETURN count(*) AS c",
+    "MATCH (n:A) WHERE n.l IN [[1, 2], [], ['å']] RETURN count(*) AS c",
+    "MATCH (n) WHERE n.l = [1, null] RETURN count(*) AS c",
+    "MATCH (a {l: [true, 2]})-[:R]->(b) RETURN count(*) AS c",
 )
 
 ALL_QUERIES = QUERY_CORPUS + COLUMNAR_EXTRAS
@@ -145,10 +169,9 @@ def test_columnar_error_semantics_match(spec, query_index):
     _agree(build_rich(spec), ERROR_QUERIES[query_index])
 
 
-@given(spec=rich_graphs(), query_index=st.integers(0, len(ALL_QUERIES) - 1))
-@settings(max_examples=80, deadline=None)
-def test_columnar_equals_legacy_after_mutation(spec, query_index):
-    """Incremental snapshot updates keep the columnar path equivalent."""
+def mutated(spec) -> PropertyGraph:
+    """The graph of ``spec`` after added, changed and removed nodes and
+    edges, layered onto its compiled snapshot (dead ids included)."""
     graph = build_rich(spec)
     graph.columnar()                      # compile, so mutations go incremental
     nodes, edges = spec
@@ -158,9 +181,34 @@ def test_columnar_equals_legacy_after_mutation(spec, query_index):
     graph.add_edge("extra_e", "R", first_id, "extra", {"w": 2})
     if edges:
         graph.remove_edge(edges[0][0])
+    if len(nodes) > 1:
+        graph.remove_node(nodes[-1][0])    # and its edges
     snapshot = graph.columnar()
     assert snapshot.origin in ("incremental", "full")
-    _agree(graph, ALL_QUERIES[query_index])
+    return graph
+
+
+@given(spec=rich_graphs(), query_index=st.integers(0, len(ALL_QUERIES) - 1))
+@settings(max_examples=80, deadline=None)
+def test_columnar_equals_legacy_after_mutation(spec, query_index):
+    """Incremental snapshot updates keep the columnar path equivalent."""
+    _agree(mutated(spec), ALL_QUERIES[query_index])
+
+
+#: every count statement of the corpus, most of them counted without rows
+COUNT_QUERIES = tuple(
+    text for text in ALL_QUERIES if text.endswith("RETURN count(*) AS c")
+)
+
+
+@given(spec=rich_graphs())
+@settings(max_examples=40, deadline=None)
+def test_counts_after_mutation_equal_reference(spec):
+    """Live totals and seed walks skip the overlay's dead ids and see its
+    added nodes and edges, for every count statement on one graph."""
+    graph = mutated(spec)
+    for text in COUNT_QUERIES:
+        _agree(graph, text)
 
 
 @given(spec=rich_graphs(), value=st.sampled_from(_UNICODE))

@@ -311,6 +311,11 @@ def seeds(collector) -> float:
     return collector.metrics.counter("matcher.seeds").total()
 
 
+def counted(collector) -> dict:
+    counter = collector.metrics.counter("cypher.counted")
+    return {labels["how"]: value for labels, value in counter.samples()}
+
+
 class TestStatementMemo:
     def test_repeat_on_same_version_is_a_hit_without_matching(
         self, social_graph, collector
@@ -319,7 +324,9 @@ class TestStatementMemo:
         seeded = seeds(collector)
         second = execute(social_graph, USERS)
         assert first.rows == second.rows == [{"c": 2}]
-        assert seeds(collector) == seeded > 0       # the hit matched nothing
+        # the miss counted the label's live total; the hit matched nothing
+        assert counted(collector) == {"total": 1}
+        assert seeds(collector) == seeded
         assert outcomes(collector) == {"miss": 1, "hit": 1}
         cached = [
             span.attributes["cached"] for span in collector.iter_spans()

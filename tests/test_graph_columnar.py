@@ -127,11 +127,11 @@ class TestCompile:
         graph = sample_graph()
         snapshot = graph.columnar()
         nid = snapshot.node_int("t")
-        assert snapshot.node_prop(nid, "text") == "héllo"
-        assert snapshot.node_prop(nid, "nil") is None
-        assert snapshot.node_prop(nid, "missing") is None
+        assert snapshot.column("text")[nid] == "héllo"
+        assert snapshot.column("nil")[nid] is None
+        assert snapshot.column("missing") == ()
         eid = snapshot.edge_index["e2"]
-        assert snapshot.edge_prop(eid, "since") == 2020
+        assert snapshot.column("since", edges=True)[eid] == 2020
 
     def test_index_candidates_match_a_node_scan(self):
         from repro.graph.store import property_index_key

@@ -11,8 +11,9 @@ Graphs are randomized and small (self-loops, parallel edges and
 multi-label nodes included); queries cover index seeds, join-backs,
 variable-length paths (zero hops, undirected, multi-type, named, joined
 back to a bound endpoint), named paths, OPTIONAL MATCH, undirected
-relationships, multi-pattern joins, pattern predicates and parameters.
-The corpus sticks to WHERE predicates that cannot raise on these
+relationships, multi-pattern joins, pattern predicates, parameters and
+every shape the planner counts without rows (one node or one typed
+directed hop whose every filter is a column test).  The corpus sticks to WHERE predicates that cannot raise on these
 graphs, since the planner keeps unplanned error *timing* only for rows
 it does not prune.
 
@@ -130,6 +131,36 @@ QUERY_CORPUS = (
     "RETURN a.p AS x, b.p AS y",
     # pattern predicate
     "MATCH (a:A) WHERE NOT (a)-[:S]->(:B) RETURN a.p AS p",
+) + (
+    # count-only statements, answered without rows: a live total
+    # (no filter, at most the node label) ...
+    "MATCH (n) RETURN count(*) AS c",
+    "MATCH (n:A) RETURN count(*) AS c",
+    "MATCH ()-[r:R]->() RETURN count(*) AS c",
+    "MATCH ()<-[:S]-() RETURN count(*) AS c",
+    # ... or a walk of the planned seed: two node labels, labelled
+    # endpoints both ways, inline maps and an index seed
+    "MATCH (n:A:B) RETURN count(*) AS c",
+    "MATCH (a:A)-[:R]->(b:B) RETURN count(*) AS c",
+    "MATCH (a)<-[r:S]-(b:A) RETURN count(*) AS c",
+    "MATCH (a:B)<-[:R]-(b) WHERE b.q IS NOT NULL RETURN count(*) AS c",
+    "MATCH (a {p: 2})-[:S]->(b:B {q: false}) RETURN count(*) AS c",
+    "MATCH (a:A)-[:R]->(b) WHERE a.p = 1 AND b.q IS NULL "
+    "RETURN count(*) AS c",
+    # column tests: IS [NOT] NULL, = and IN over 1, 1.0, true, null,
+    # strings and lists, each keeping Cypher's ternary result
+    "MATCH (n:A) WHERE n.p IS NULL RETURN count(*) AS c",
+    "MATCH (n) WHERE n.q IS NOT NULL AND n.p = 1 RETURN count(*) AS c",
+    "MATCH (n:B) WHERE n.p = 1.0 RETURN count(*) AS c",
+    "MATCH (n) WHERE n.q = true RETURN count(*) AS c",
+    "MATCH (n) WHERE n.p = true RETURN count(*) AS c",
+    "MATCH (n:A) WHERE n.p = null RETURN count(*) AS c",
+    "MATCH (n) WHERE n.p IN [1, 2.0, true, null] RETURN count(*) AS c",
+    "MATCH (n) WHERE n.q IN [true, 'x', [1, 2]] RETURN count(*) AS c",
+    "MATCH (n:B) WHERE n.p IN [] RETURN count(*) AS c",
+    "MATCH (n) WHERE n.p = [1] RETURN count(*) AS c",
+    # the same statements, named as the rule scorer names them
+    "MATCH (n:A) WHERE n.p IS NOT NULL RETURN count(*) AS satisfy",
 )
 
 
