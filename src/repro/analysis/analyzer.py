@@ -76,19 +76,19 @@ class StaticAnalyzer:
 
     def analyze_ast(self, query, query_text: str = "") -> AnalysisReport:
         """Analyze an already-parsed AST (no memoization)."""
-        report = AnalysisReport(query_text=query_text)
-        dataflow_findings, table = analyze_query_dataflow(query)
-        report.findings.extend(dataflow_findings)
+        findings, table = analyze_query_dataflow(query)
         if self.schema is not None:
-            report.findings.extend(
-                analyze_types(query, self.schema, table)
-            )
-        report.findings.extend(analyze_satisfiability(query))
+            findings += analyze_types(query, self.schema, table)
+        findings += analyze_satisfiability(query)
         try:
-            report.signature = canonical_signature(query)
+            signature = canonical_signature(query)
         except (CypherError, TypeError, ValueError):
-            report.signature = None
-        return report
+            signature = None
+        return AnalysisReport(
+            query_text=query_text,
+            findings=tuple(findings),
+            signature=signature,
+        )
 
     def triage(self, query_text: str) -> RuleTriage:
         return RuleTriage(self.analyze(query_text))
@@ -104,10 +104,10 @@ class StaticAnalyzer:
         except CypherError as exc:
             return AnalysisReport(
                 query_text=query_text,
-                findings=[Finding(
+                findings=(Finding(
                     "parse", "syntax-error", str(exc),
                     severity=Verdict.ERROR,
-                )],
+                ),),
                 parse_failed=True,
             )
         return self.analyze_ast(query, query_text)

@@ -10,7 +10,7 @@ an :class:`AnalysisReport` is the combined judgement on one query.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -72,12 +72,16 @@ class Finding:
     subject: Optional[str] = None  # variable / property / expression
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisReport:
-    """Outcome of statically analyzing one query."""
+    """Outcome of statically analyzing one query.
+
+    Immutable: an analyzer hands the same report to every caller that
+    asks about the same query text.
+    """
 
     query_text: str
-    findings: list[Finding] = field(default_factory=list)
+    findings: tuple[Finding, ...] = ()
     signature: Optional[str] = None   # canonical semantic signature
     parse_failed: bool = False
 
@@ -121,17 +125,18 @@ class AnalysisReport:
     def from_dict(cls, query_text: str, payload: dict) -> "AnalysisReport":
         """Rebuild the reportable form archived by persistence."""
         verdict = Verdict(payload.get("verdict", "ok"))
-        report = cls(
+        return cls(
             query_text=query_text,
+            findings=tuple(
+                Finding(
+                    pass_name=record.get("pass", "unknown"),
+                    code=record.get("code", "unknown"),
+                    message=record.get("message", ""),
+                    severity=Verdict(record.get("severity", "warn")),
+                    subject=record.get("subject"),
+                )
+                for record in payload.get("findings", ())
+            ),
             parse_failed=verdict is Verdict.ERROR,
             signature=payload.get("signature"),
         )
-        for record in payload.get("findings", ()):
-            report.findings.append(Finding(
-                pass_name=record.get("pass", "unknown"),
-                code=record.get("code", "unknown"),
-                message=record.get("message", ""),
-                severity=Verdict(record.get("severity", "warn")),
-                subject=record.get("subject"),
-            ))
-        return report

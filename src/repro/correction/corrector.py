@@ -47,9 +47,13 @@ class CorrectionOutcome:
 class QueryCorrector:
     """Classifies generated queries and applies the §4.4 repairs."""
 
-    def __init__(self, schema: GraphSchema) -> None:
+    def __init__(
+        self,
+        schema: GraphSchema,
+        analyzer: Optional[StaticAnalyzer] = None,
+    ) -> None:
         self.schema = schema
-        self.analyzer = StaticAnalyzer(schema)
+        self.analyzer = analyzer or StaticAnalyzer(schema)
         self.classifier = QueryClassifier(schema, analyzer=self.analyzer)
         self.translator = RuleTranslator(schema)
 

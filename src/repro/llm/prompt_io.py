@@ -15,6 +15,7 @@ The honesty contract of this reproduction: the simulated LLM sees
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -29,20 +30,38 @@ from repro.prompts.templates import (
 
 _SECTIONS = (GRAPH_SECTION, EXAMPLES_SECTION, TASK_SECTION,
              RULE_SECTION, SCHEMA_SECTION, FEEDBACK_SECTION)
+#: any section header; headers cannot overlap one another (``#`` occurs
+#: only in their first three characters), so the matches of one
+#: left-to-right scan are every header occurrence in the prompt
+_HEADER_RE = re.compile("|".join(re.escape(header) for header in _SECTIONS))
+
+
+def prompt_sections(prompt: str) -> dict[str, str]:
+    """Every section of ``prompt``, keyed by its header, in one scan.
+
+    A section is the stripped text between its header's first
+    occurrence and the next header occurrence (any header, the same one
+    repeated included), or the end of the prompt.  Headers absent from
+    the prompt have no key.
+    """
+    sections: dict[str, str] = {}
+    open_header = None
+    open_start = 0
+    for match in _HEADER_RE.finditer(prompt):
+        if open_header is not None:
+            sections[open_header] = prompt[open_start:match.start()].strip()
+            open_header = None
+        header = match.group()
+        if header not in sections:
+            open_header, open_start = header, match.end()
+    if open_header is not None:
+        sections[open_header] = prompt[open_start:].strip()
+    return sections
 
 
 def extract_section(prompt: str, header: str) -> str | None:
     """Text between ``header`` and the next section header (or the end)."""
-    start = prompt.find(header)
-    if start == -1:
-        return None
-    start += len(header)
-    end = len(prompt)
-    for other in _SECTIONS:
-        position = prompt.find(other, start)
-        if position != -1:
-            end = min(end, position)
-    return prompt[start:end].strip()
+    return prompt_sections(prompt).get(header)
 
 
 # ----------------------------------------------------------------------
@@ -216,14 +235,15 @@ def parse_visible_graph(text: str) -> VisibleGraphView:
 # ----------------------------------------------------------------------
 # schema summaries in Cypher prompts
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class MiniSchema:
     """Schema knowledge parsed back out of a Cypher prompt.
 
     Offers the same ``edge_connects`` surface the
     :class:`~repro.rules.translator.RuleTranslator` needs for direction
     decisions, so the simulated LLM orients patterns using only what the
-    prompt told it.
+    prompt told it.  :func:`parse_schema_summary` shares one instance
+    per summary text, so a parsed schema is read-only.
     """
 
     node_properties: dict[str, list[str]] = field(default_factory=dict)
@@ -240,8 +260,13 @@ _SUMMARY_NODE_RE = re.compile(r"^  (\S+): (.*)$")
 _SUMMARY_CONN_RE = re.compile(r"^  \((\S+)\)-\[:(\S+)\]->\((\S+)\) x\d+$")
 
 
+@functools.lru_cache(maxsize=64)
 def parse_schema_summary(summary: str) -> MiniSchema:
-    """Parse the :meth:`GraphSchema.describe` text back into a view."""
+    """Parse the :meth:`GraphSchema.describe` text back into a view.
+
+    Memoized by the text: every Cypher prompt of a dataset carries the
+    same summary.  The returned schema is shared and must not be mutated.
+    """
     schema = MiniSchema()
     mode = None
     for line in summary.splitlines():

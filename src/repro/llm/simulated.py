@@ -16,14 +16,23 @@ protocol with two skills, dispatched on the prompt's section markers:
 Determinism: each completion seeds its RNG from (base seed, CRC32 of the
 prompt), so the same prompt always gets the same answer but different
 windows get different noise.
+
+The proposals of a graph text depend on that text alone, so they are
+induced once per text and kept in a bounded process-wide memo keyed by
+a digest of the text; the profile, seed and few-shot scoring, the
+noise, the cap and the hallucination still run on every call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import random
 import re
+import threading
 import zlib
+from collections import OrderedDict
 
 from repro import obs
 from repro.encoding.tokenizer import count_tokens
@@ -32,9 +41,9 @@ from repro.llm.faults import HALLUCINATED_PROPERTY_POOL, maybe_inject
 from repro.llm.induction import InductionEngine, Proposal
 from repro.llm.profiles import ModelProfile, get_profile
 from repro.llm.prompt_io import (
-    extract_section,
     parse_schema_summary,
     parse_visible_graph,
+    prompt_sections,
 )
 from repro.prompts.templates import (
     CORRECTION_TASK,
@@ -53,6 +62,57 @@ from repro.rules.translator import RuleTranslator, UntranslatableRuleError
 FEW_SHOT_THRESHOLD_BUMP = 0.07
 #: score multiplier for kinds demonstrated in the few-shot examples
 FEW_SHOT_KIND_BOOST = 1.3
+#: graph texts whose proposals the memo keeps, least recently used
+#: evicted first; every dataset's windows together are 560 texts
+PROPOSAL_MEMO_SIZE = 1024
+
+
+class _ProposalMemo:
+    """Induced proposals per graph text, keyed by a digest of the text.
+
+    Thread-safe: induction runs outside the lock, so concurrent misses
+    on different texts do not wait for each other.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: OrderedDict[bytes, tuple[Proposal, ...]] = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def proposals(self, graph_text: str) -> tuple[Proposal, ...]:
+        key = hashlib.blake2b(
+            graph_text.encode("utf-8"), digest_size=16
+        ).digest()
+        with self._lock:
+            proposals = self._entries.get(key)
+            if proposals is not None:
+                self._entries.move_to_end(key)
+                return proposals
+        proposals = tuple(
+            InductionEngine(parse_visible_graph(graph_text)).propose()
+        )
+        with self._lock:
+            self._entries[key] = proposals
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return proposals
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_proposal_memo = _ProposalMemo(PROPOSAL_MEMO_SIZE)
+
+
+@functools.lru_cache(maxsize=16)
+def _example_kinds(examples_text: str) -> frozenset[RuleKind]:
+    """Rule kinds of a few-shot example block, parsed once per text."""
+    example_rules, _unparsed = parse_rule_list(examples_text)
+    return frozenset(rule.kind for rule in example_rules)
 
 
 class SimulatedLLM:
@@ -81,19 +141,20 @@ class SimulatedLLM:
         """Answer one prompt (rule generation or Cypher generation)."""
         with obs.span("llm.call", model=self.profile.name) as sp:
             rng = self._rng_for(prompt)
-            if extract_section(prompt, RULE_SECTION) is not None:
+            sections = prompt_sections(prompt)
+            if RULE_SECTION in sections:
                 if (
-                    extract_section(prompt, FEEDBACK_SECTION) is not None
+                    FEEDBACK_SECTION in sections
                     and CORRECTION_TASK in prompt
                 ):
                     skill = "correction"
-                    text = self._complete_correction(prompt, rng)
+                    text = self._complete_correction(sections, rng)
                 else:
                     skill = "cypher"
-                    text = self._complete_cypher(prompt, rng)
-            elif extract_section(prompt, GRAPH_SECTION) is not None:
+                    text = self._complete_cypher(sections, rng)
+            elif GRAPH_SECTION in sections:
                 skill = "rules"
-                text = self._complete_rules(prompt, rng)
+                text = self._complete_rules(sections, rng)
             else:
                 skill = "unknown"
                 text = "I need a graph or a rule to work with."
@@ -142,17 +203,16 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # rule generation
     # ------------------------------------------------------------------
-    def _complete_rules(self, prompt: str, rng: random.Random) -> str:
-        graph_text = extract_section(prompt, GRAPH_SECTION) or ""
-        view = parse_visible_graph(graph_text)
-        proposals = InductionEngine(view).propose()
+    def _complete_rules(
+        self, sections: dict[str, str], rng: random.Random
+    ) -> str:
+        proposals = _proposal_memo.proposals(sections[GRAPH_SECTION])
 
-        examples_text = extract_section(prompt, EXAMPLES_SECTION)
-        example_kinds: set[RuleKind] = set()
+        examples_text = sections.get(EXAMPLES_SECTION)
+        example_kinds: frozenset[RuleKind] = frozenset()
         threshold = self.profile.evidence_threshold
         if examples_text:
-            example_rules, _unparsed = parse_rule_list(examples_text)
-            example_kinds = {rule.kind for rule in example_rules}
+            example_kinds = _example_kinds(examples_text)
             threshold += FEW_SHOT_THRESHOLD_BUMP
 
         scored: list[tuple[float, int, Proposal]] = []
@@ -201,17 +261,14 @@ class SimulatedLLM:
 
         sentences: list[str] = []
         for position, proposal in enumerate(kept, start=1):
-            rule = self._maybe_hallucinate(proposal.rule, view, rng)
+            rule = self._maybe_hallucinate(proposal.rule, rng)
             sentences.append(f"{position}. {to_natural_language(rule)}")
         if not sentences:
             return "No consistency rules could be inferred from this data."
         return "\n".join(sentences)
 
     def _maybe_hallucinate(
-        self,
-        rule: ConsistencyRule,
-        view,
-        rng: random.Random,
+        self, rule: ConsistencyRule, rng: random.Random
     ) -> ConsistencyRule:
         """Sometimes swap a property for an invented one (§4.4, cat. 2)."""
         if not rule.properties:
@@ -238,19 +295,19 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # Cypher generation
     # ------------------------------------------------------------------
-    def _complete_cypher(self, prompt: str, rng: random.Random) -> str:
-        rule_text = extract_section(prompt, RULE_SECTION) or ""
-        schema_text = extract_section(prompt, SCHEMA_SECTION) or ""
-        rule = from_natural_language(rule_text.strip())
+    def _complete_cypher(
+        self, sections: dict[str, str], rng: random.Random
+    ) -> str:
+        rule = from_natural_language(sections[RULE_SECTION])
         if rule is None:
             return "MATCH (n) RETURN count(*) AS support"
-        schema = parse_schema_summary(schema_text)
+        schema = parse_schema_summary(sections.get(SCHEMA_SECTION, ""))
         translator = RuleTranslator(schema)  # duck-typed: edge_connects
         try:
             queries = translator.translate(rule)
         except UntranslatableRuleError:
             return "MATCH (n) RETURN count(*) AS support"
-        if extract_section(prompt, FEEDBACK_SECTION) is not None:
+        if FEEDBACK_SECTION in sections:
             # regeneration with analyzer feedback: a compliant model
             # fixes the query it was told is broken; otherwise it still
             # rerolls the fault dice on a fresh RNG stream
@@ -267,18 +324,19 @@ class SimulatedLLM:
     #: the feedback proves the constraint itself is the problem
     _RELAXABLE = frozenset({RuleKind.VALUE_DOMAIN, RuleKind.VALUE_FORMAT})
 
-    def _complete_correction(self, prompt: str, rng: random.Random) -> str:
-        rule_text = extract_section(prompt, RULE_SECTION) or ""
-        schema_text = extract_section(prompt, SCHEMA_SECTION) or ""
-        feedback = extract_section(prompt, FEEDBACK_SECTION) or ""
-        rule = from_natural_language(rule_text.strip())
+    def _complete_correction(
+        self, sections: dict[str, str], rng: random.Random
+    ) -> str:
+        rule = from_natural_language(sections[RULE_SECTION])
         if rule is None:
             return "I cannot parse the rule to revise."
         if rng.random() >= self.profile.correction_compliance:
             # non-compliant: restates the rule unchanged
             return f"1. {to_natural_language(rule)}"
-        schema = parse_schema_summary(schema_text)
-        revised = self._revise_rule(rule, feedback, schema, rng)
+        schema = parse_schema_summary(sections.get(SCHEMA_SECTION, ""))
+        revised = self._revise_rule(
+            rule, sections[FEEDBACK_SECTION], schema, rng
+        )
         return f"1. {to_natural_language(revised)}"
 
     def _revise_rule(

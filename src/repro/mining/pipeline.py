@@ -15,6 +15,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.analysis import StaticAnalyzer
 from repro.correction.corrector import QueryCorrector
 from repro.datasets.base import Dataset
 from repro.encoding.incident import IncidentEncoder, Statement
@@ -51,6 +52,9 @@ class PipelineContext:
     statements: list[Statement]
     schema: GraphSchema
     schema_summary: str
+    #: the dataset's one analyzer: every pipeline's corrector, triage
+    #: and semantic dedup share its query-text memo
+    analyzer: StaticAnalyzer
 
     @property
     def graph(self) -> PropertyGraph:
@@ -76,6 +80,7 @@ class PipelineContext:
             statements=statements,
             schema=schema,
             schema_summary=schema.describe(),
+            analyzer=StaticAnalyzer(schema),
         )
 
 
@@ -241,7 +246,9 @@ class BasePipeline:
         #: (the default) disables refinement so paper-grid runs are
         #: bit-identical to the pre-refine pipeline
         self.refine_budget = refine_budget
-        self.corrector = QueryCorrector(context.schema)
+        self.corrector = QueryCorrector(
+            context.schema, analyzer=context.analyzer
+        )
         #: shared semantic analyzer (also used by the corrector's
         #: classifier); set to None to disable pre-execution triage
         self.analyzer = self.corrector.analyzer
@@ -328,7 +335,7 @@ class BasePipeline:
         strictly-stronger survivor provably subsumes (A ⇒ B keeps A,
         records B in ``A.implied_by``).
         """
-        kept = deduplicate(rules, schema=self.context.schema)
+        kept = deduplicate(rules, analyzer=self.context.analyzer)
         collapsed = len(rules) - len(kept)
         if collapsed:
             obs.inc("analysis.semantic_duplicates", collapsed)

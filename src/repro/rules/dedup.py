@@ -25,22 +25,24 @@ from repro.rules.translator import RuleTranslator, UntranslatableRuleError
 
 def deduplicate(
     rules: list[ConsistencyRule],
-    schema: Optional[GraphSchema] = None,
+    analyzer: Optional[StaticAnalyzer] = None,
 ) -> list[ConsistencyRule]:
     """Drop duplicate rules; first occurrence wins.
 
     The field signature catches verbatim repeats but counted
     alpha-renamed / endpoint-permuted rules as distinct — e.g. the same
     edge constraint mined from two windows with the src/dst labels
-    written in opposite orders.  When a ``schema`` is provided, each
-    rule is additionally keyed by the analyzer's canonical form of its
-    translated check query, which erases variable naming and edge
-    orientation; rules the translator cannot handle fall back to the
-    field signature alone.
+    written in opposite orders.  When an ``analyzer`` with a schema is
+    provided, each rule is additionally keyed by the analyzer's
+    canonical form of its translated check query, which erases variable
+    naming and edge orientation; rules the translator cannot handle
+    fall back to the field signature alone.
     """
     semantic_keys: set[str] = set()
-    translator = RuleTranslator(schema) if schema is not None else None
-    analyzer = StaticAnalyzer(schema) if schema is not None else None
+    translator = (
+        RuleTranslator(analyzer.schema)
+        if analyzer is not None and analyzer.schema is not None else None
+    )
     ruleset = RuleSet()
     output: list[ConsistencyRule] = []
     for rule in rules:

@@ -348,6 +348,25 @@ class TestAnalyzerFacade:
         text = "MATCH (n:User) RETURN count(*) AS c"
         assert analyzer.analyze(text) is analyzer.analyze(text)
 
+    def test_shared_report_is_immutable(self):
+        # one analyzer serves every pipeline of a dataset, so a report
+        # handed to one caller must not change under another
+        analyzer = StaticAnalyzer()
+        text = "MATCH (a:User), (b:Tweet) RETURN a.id AS x, b.id AS y"
+        first = analyzer.analyze(text)
+        assert first.findings
+        finding = first.findings[0]
+        with pytest.raises(AttributeError):
+            first.findings.append(finding)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.findings = ()
+        second = analyzer.analyze(text)
+        assert second is first
+        assert second == StaticAnalyzer().analyze(text)
+        assert isinstance(
+            AnalysisReport.from_dict(text, first.to_dict()).findings, tuple
+        )
+
     def test_report_round_trips_through_dict(self):
         report = analyze_query(
             "MATCH (a:User) WHERE b.id > 0 AND a.id > 5 AND a.id < 3 "
@@ -391,7 +410,7 @@ class TestSemanticDedup:
     def test_schema_collapses_semantic_duplicates(self, sports_graph):
         schema = infer_schema(sports_graph)
         first, second = self.make_rules()
-        kept = deduplicate([first, second], schema=schema)
+        kept = deduplicate([first, second], analyzer=StaticAnalyzer(schema))
         assert kept == [first]       # first occurrence wins
 
     def test_distinct_rules_survive_with_schema(self, sports_graph):
@@ -401,7 +420,8 @@ class TestSemanticDedup:
             kind=RuleKind.PROPERTY_EXISTS, text="matches have a date",
             label="Match", properties=("date",),
         )
-        assert len(deduplicate([first, other], schema=schema)) == 2
+        kept = deduplicate([first, other], analyzer=StaticAnalyzer(schema))
+        assert len(kept) == 2
 
 
 # ----------------------------------------------------------------------

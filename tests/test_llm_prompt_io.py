@@ -1,5 +1,9 @@
 """Unit tests for prompt parsing (the simulated LLM's input channel)."""
 
+import dataclasses
+
+import pytest
+
 from repro.llm.prompt_io import (
     extract_section,
     parse_property_block,
@@ -118,3 +122,11 @@ class TestSchemaSummary:
         )
         mini = parse_schema_summary(summary)
         assert mini.node_properties["Bare"] == []
+
+    def test_parsed_once_per_text(self, social_schema):
+        summary = social_schema.describe()
+        mini = parse_schema_summary(summary)
+        # every Cypher prompt of a dataset shares one read-only parse
+        assert parse_schema_summary(summary) is mini
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mini.connections = []

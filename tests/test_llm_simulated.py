@@ -1,11 +1,14 @@
 """Unit tests for the simulated LLM, fault model and timing."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cypher import lint, parse
-from repro.encoding import IncidentEncoder
+from repro.encoding import IncidentEncoder, SlidingWindowChunker
 from repro.graph import infer_schema
 from repro.llm import (
     LLAMA3_PROFILE,
@@ -18,7 +21,9 @@ from repro.llm import (
     inject_syntax_fault,
     maybe_inject,
 )
+from repro.llm import simulated
 from repro.llm.faults import inject_unsat_fault
+from repro.llm.induction import InductionEngine
 from repro.llm.timing import LatencyModel
 from repro.prompts import cypher_prompt, few_shot_prompt, zero_shot_prompt
 from repro.prompts.examples import examples_text
@@ -257,3 +262,117 @@ class TestHallucination:
             )
         ]
         assert hallucinated, completion.text
+
+
+class TestProposalMemo:
+    """Proposals are induced once per graph text, whatever asks."""
+
+    @pytest.fixture()
+    def windows(self, cyber_dataset):
+        statements = IncidentEncoder().encode(cyber_dataset.graph)
+        chunker = SlidingWindowChunker(window_size=1500, overlap=150)
+        return [w.text for w in chunker.chunk_statements(statements).windows]
+
+    @pytest.fixture(autouse=True)
+    def cleared_memo(self):
+        simulated._proposal_memo.cache_clear()
+        yield
+        simulated._proposal_memo.cache_clear()
+
+    @pytest.fixture()
+    def propose_calls(self, monkeypatch):
+        calls = []
+        original = InductionEngine.propose
+
+        def spy(engine):
+            calls.append(engine)
+            return original(engine)
+
+        monkeypatch.setattr(InductionEngine, "propose", spy)
+        return calls
+
+    def test_second_call_on_same_graph_runs_no_induction(
+        self, windows, propose_calls
+    ):
+        text = windows[0]
+        SimulatedLLM("llama3", seed=1).complete(zero_shot_prompt(text))
+        assert len(propose_calls) == 1
+        # another model, seed and prompt mode: only the scoring differs
+        SimulatedLLM("mixtral", seed=2).complete(
+            few_shot_prompt(text, examples_text())
+        )
+        assert len(propose_calls) == 1
+        SimulatedLLM("llama3", seed=1).complete(zero_shot_prompt(windows[1]))
+        assert len(propose_calls) == 2
+
+    @pytest.mark.parametrize("model", ["llama3", "mixtral"])
+    @pytest.mark.parametrize("mode", ["zero_shot", "few_shot"])
+    def test_hit_equals_cold_call(self, windows, model, mode):
+        def prompt(text):
+            if mode == "few_shot":
+                return few_shot_prompt(text, examples_text())
+            return zero_shot_prompt(text)
+
+        for seed in (0, 1, 7, 9001):
+            for text in windows[:4]:
+                simulated._proposal_memo.cache_clear()
+                cold = SimulatedLLM(model, seed=seed).complete(prompt(text))
+                # the memo now holds this text: the same call is a hit
+                hit = SimulatedLLM(model, seed=seed).complete(prompt(text))
+                assert hit == cold
+
+    def test_bound_evicts_least_recently_used(self, windows, propose_calls):
+        memo = simulated._ProposalMemo(2)
+        first, second, third = windows[:3]
+        stored = memo.proposals(first)
+        memo.proposals(second)
+        # a hit hands back the stored tuple, no copy, and makes `first`
+        # the newest entry
+        assert memo.proposals(first) is stored
+        assert len(propose_calls) == 2
+        memo.proposals(third)          # evicts `second`, the oldest
+        assert memo.proposals(first) is stored
+        assert len(propose_calls) == 3
+        memo.proposals(second)
+        assert len(propose_calls) == 4
+
+    def test_concurrent_completions_get_cold_answers(
+        self, windows, monkeypatch
+    ):
+        prompts = [zero_shot_prompt(text) for text in windows[:6]]
+        expected = []
+        for prompt in prompts:
+            simulated._proposal_memo.cache_clear()
+            expected.append(SimulatedLLM("mixtral", seed=3).complete(prompt))
+        simulated._proposal_memo.cache_clear()
+        # more threads than cores, a short switch interval and a bound
+        # below the number of texts, so threads evict each other's
+        # entries between a miss and its store
+        monkeypatch.setattr(simulated._proposal_memo, "maxsize", 2)
+        threads = 4
+        barrier = threading.Barrier(threads, timeout=60)
+
+        def worker(slot):
+            barrier.wait()
+            llm = SimulatedLLM("mixtral", seed=3)
+            return [
+                (index, llm.complete(prompts[index]))
+                for _round in range(3)
+                for index in range(slot, len(prompts), 2)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [
+                    pool.submit(worker, slot % 2) for slot in range(threads)
+                ]
+                # result() re-raises whatever a thread raised
+                answers = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for answered in answers:
+            assert len(answered) == 9
+            for index, completion in answered:
+                assert completion == expected[index]
