@@ -6,7 +6,7 @@ narrow slice of the vocabulary, footprint pruning re-evaluates at least
 that are value-identical to the from-scratch answer.
 
 The datasets in the registry cache graph instances in-process, so the
-benchmark mutates a snapshot round-trip *copy*, never the shared graph.
+benchmark mutates a freshly generated copy, never the shared graph.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import pytest
 
 from repro import obs
 from repro.datasets import load
-from repro.datasets.snapshot import dataset_from_dict, dataset_to_dict
-from repro.graph import GraphChangeLog
 from repro.mining import PipelineContext, SlidingWindowPipeline
 from repro.stream import IncrementalMaintainer
 
@@ -25,10 +23,6 @@ DATASET = "cybersecurity"
 #: floor asserted by the gate (the observed ratio is ~12x: one CAN_RDP
 #: rule re-evaluated out of twelve evaluable)
 MIN_EVAL_SAVINGS = 5.0
-
-
-def _fresh_copy():
-    return dataset_from_dict(dataset_to_dict(load(DATASET)))
 
 
 def _narrow_batch(graph) -> int:
@@ -60,15 +54,15 @@ def _narrow_batch(graph) -> int:
 
 @pytest.fixture()
 def maintained():
-    """(maintainer, changelog) over a freshly mined private copy."""
-    dataset = _fresh_copy()
+    """(maintainer, epoch) over a freshly mined private copy; the
+    metrics are fresh at ``epoch``."""
+    dataset = load(DATASET, cache=False)
     context = PipelineContext.build(dataset)
     run = SlidingWindowPipeline(context).mine("llama3", "zero_shot")
     maintainer = IncrementalMaintainer(run, dataset.graph)
     for result, metrics in zip(run.results, maintainer.recompute()):
         result.metrics = metrics
-    changelog = GraphChangeLog().attach(dataset.graph)
-    return maintainer, changelog
+    return maintainer, dataset.graph.epoch
 
 
 def _evals_during(func):
@@ -81,9 +75,9 @@ def _evals_during(func):
 
 
 def test_bench_stream_incremental(benchmark, run_once, maintained):
-    maintainer, changelog = maintained
+    maintainer, since = maintained
     _narrow_batch(maintainer.graph)
-    deltas = list(changelog.deltas())
+    deltas = maintainer.graph.changes_since(since)
 
     report = run_once(benchmark, maintainer.apply, deltas)
     assert not report.full_fallback
@@ -95,16 +89,16 @@ def test_bench_stream_incremental(benchmark, run_once, maintained):
 
 
 def test_bench_stream_full_recompute(benchmark, run_once, maintained):
-    maintainer, changelog = maintained
+    maintainer, _since = maintained
     _narrow_batch(maintainer.graph)
     run_once(benchmark, maintainer.recompute)
 
 
 def test_stream_eval_savings_floor(maintained, capsys):
     """The gated claim: ≥5x fewer rule evaluations than full re-eval."""
-    maintainer, changelog = maintained
+    maintainer, since = maintained
     applied = _narrow_batch(maintainer.graph)
-    deltas = list(changelog.deltas())
+    deltas = maintainer.graph.changes_since(since)
 
     incremental = _evals_during(lambda: maintainer.apply(deltas))
     full = _evals_during(maintainer.recompute)

@@ -1,11 +1,6 @@
 """Graph-to-text encoding: tokenizer, encoders and sliding windows."""
 
 from repro.encoding.adjacency import AdjacencyEncoder
-from repro.encoding.dirty import (
-    changed_window_indexes,
-    dirty_block_subjects,
-    refresh_statements,
-)
 from repro.encoding.incident import (
     IncidentEncoder,
     Statement,
@@ -41,12 +36,9 @@ __all__ = [
     "Statement",
     "Window",
     "WindowSet",
-    "changed_window_indexes",
     "count_tokens",
-    "dirty_block_subjects",
     "format_properties",
     "format_value",
-    "refresh_statements",
     "split_tokens",
     "statement_token_ranges",
     "token_spans",

@@ -34,9 +34,8 @@ def statement_token_ranges(
     ``counts`` are the statements' token counts; counted when not
     supplied.  No token spans the joining newline, so each statement's
     tokens follow the previous statement's.  A statement without tokens
-    gets the index of the token before it (0 at the start).  Shared by
-    the chunker's fragmentation accounting and the dirty-window
-    invalidation in :mod:`repro.encoding.dirty`.
+    gets the index of the token before it (0 at the start).  The
+    chunker's fragmentation accounting reads it.
     """
     if counts is None:
         counts = [count_tokens(statement.text) for statement in statements]

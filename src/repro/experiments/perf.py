@@ -127,7 +127,6 @@ def _run_stream_phase(seed: int) -> None:
     ``min_eval_savings``x fewer rules than a full recompute would.
     """
     from repro.datasets import load
-    from repro.graph import GraphChangeLog
     from repro.mining import PipelineContext, SlidingWindowPipeline
     from repro.stream import IncrementalMaintainer
 
@@ -138,9 +137,9 @@ def _run_stream_phase(seed: int) -> None:
         WORKLOAD["model"], WORKLOAD["prompt_mode"],
     )
     maintainer = IncrementalMaintainer(run, dataset.graph)
-    changelog = GraphChangeLog().attach(dataset.graph)
 
     graph = dataset.graph
+    since = graph.epoch
     ous = sorted(n.id for n in graph.nodes() if "OU" in n.labels)
     gpos = sorted(n.id for n in graph.nodes() if "GPO" in n.labels)
     users = sorted(n.id for n in graph.nodes() if "User" in n.labels)
@@ -158,7 +157,7 @@ def _run_stream_phase(seed: int) -> None:
                 f"perf_rdp_{index}", "CAN_RDP",
                 users[index], computers[index],
             )
-    report = maintainer.apply(list(changelog.deltas()))
+    report = maintainer.apply(graph.changes_since(since))
     evaluable = report.total_rules - report.constant_rules
     if report.reevaluated * spec["min_eval_savings"] > evaluable:
         raise AssertionError(

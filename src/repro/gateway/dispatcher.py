@@ -11,7 +11,7 @@ Robustness model:
   parallelism would hide head-of-line blocking from admission control;
 * a crashed worker (stdout EOF, nonzero exit) fails fast: its in-flight
   job is **requeued once** (then failed), and the process is respawned
-  up to ``respawn_limit`` times, all counted through ``gateway.*``
+  up to ``RESPAWN_LIMIT`` times, all counted through ``gateway.*``
   metrics;
 * :meth:`drain` refuses new work, waits for backlog + in-flight jobs
   with a deadline, then shuts workers down politely (``shutdown`` op,
@@ -42,6 +42,9 @@ __all__ = [
     "GatewayJob",
     "GatewayJobState",
 ]
+
+#: times a crashed worker process is respawned before its slot stays dead
+RESPAWN_LIMIT = 3
 
 
 class DispatchBacklogFull(RuntimeError):
@@ -207,10 +210,7 @@ class Dispatcher:
         workers: int = 2,
         queue_depth: int = 64,
         max_retries: int = 3,
-        retry_base_delay: float = 0.5,
-        respawn_limit: int = 3,
         cache_max_entries: int | None = None,
-        python: str = sys.executable,
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -218,13 +218,11 @@ class Dispatcher:
             raise ValueError("queue_depth must be positive")
         self.cache_dir = Path(cache_dir)
         self.queue_depth = queue_depth
-        self.respawn_limit = respawn_limit
         env = _worker_env()
         argv = [
-            python, "-m", "repro.gateway.worker",
+            sys.executable, "-m", "repro.gateway.worker",
             "--cache-dir", str(self.cache_dir),
             "--max-retries", str(max_retries),
-            "--retry-base-delay", str(retry_base_delay),
         ]
         if cache_max_entries is not None:
             # the workers write the shared cache, so they enforce its bound
@@ -379,7 +377,7 @@ class Dispatcher:
                 if self._stopped:
                     return
                 fleet_dead = all(
-                    not h.alive and h.crashes > self.respawn_limit
+                    not h.alive and h.crashes > RESPAWN_LIMIT
                     for h in self._workers
                 )
                 if fleet_dead and self._backlog:
@@ -598,7 +596,7 @@ class Dispatcher:
                 if job.trace is not None:
                     job.trace.start_phase("gateway.queue", requeued=True)
         try:
-            if not stopping and handle.crashes <= self.respawn_limit:
+            if not stopping and handle.crashes <= RESPAWN_LIMIT:
                 handle.spawn()
                 self._spawn_reader(handle)
         except OSError:

@@ -136,15 +136,10 @@ class Gateway:
         defaults: protocol.SpecDefaults | None = None,
         loader: Callable[[str], Dataset] | None = None,
         max_retries: int = 3,
-        retry_base_delay: float = 0.5,
-        respawn_limit: int = 3,
         drain_timeout: float = 30.0,
         serve_from_cache: bool = True,
-        python: str = sys.executable,
         clock: Callable[[], float] = time.monotonic,
         watch: bool = False,
-        watch_model: str = "llama3",
-        watch_prompt_mode: str = "zero_shot",
         watch_debounce: float = 0.5,
         cache_max_entries: int | None = None,
     ) -> None:
@@ -159,8 +154,6 @@ class Gateway:
         self.cache = ResultCache(self.cache_dir, max_entries=cache_max_entries)
         self.snapshot_dir = self.cache_dir / ".snapshots"
         self.watch_enabled = watch
-        self.watch_model = watch_model
-        self.watch_prompt_mode = watch_prompt_mode
         self.watch_debounce = watch_debounce
         self._watchers: dict[str, WatchService] = {}
         self.admission = AdmissionController(policy=policy, clock=clock)
@@ -169,10 +162,7 @@ class Gateway:
             workers=workers,
             queue_depth=queue_depth,
             max_retries=max_retries,
-            retry_base_delay=retry_base_delay,
-            respawn_limit=respawn_limit,
             cache_max_entries=cache_max_entries,
-            python=python,
         )
         self._jobs: dict[str, GatewayJob] = {}
         self._jobs_lock = threading.Lock()
@@ -303,10 +293,9 @@ class Gateway:
         with self._dataset_lock:
             watcher = self._watchers.get(key)
             if watcher is None:
+                # maintains the llama3 zero-shot SWA run (the defaults)
                 watcher = WatchService(
                     self._dataset_objects[key],
-                    model=self.watch_model,
-                    prompt_mode=self.watch_prompt_mode,
                     debounce_seconds=self.watch_debounce,
                 )
                 self._watchers[key] = watcher

@@ -59,7 +59,6 @@ class GatewayWorker:
         cache_dir: str | Path,
         worker_id: str = "w0",
         max_retries: int = 3,
-        retry_base_delay: float = 0.5,
         cache_max_entries: int | None = None,
         stdin: IO[str] | None = None,
         stdout: IO[str] | None = None,
@@ -69,9 +68,7 @@ class GatewayWorker:
         self._stdout = stdout if stdout is not None else sys.stdout
         self.runner = JobRunner(
             cache=ResultCache(cache_dir, max_entries=cache_max_entries),
-            retry_policy=RetryPolicy(
-                max_retries=max_retries, base_delay=retry_base_delay
-            ),
+            retry_policy=RetryPolicy(max_retries=max_retries),
             loader=self._load,
         )
         self._snapshots: dict[str, str] = {}
@@ -269,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-dir", required=True, metavar="PATH")
     parser.add_argument("--worker-id", default="w0")
     parser.add_argument("--max-retries", type=int, default=3)
-    parser.add_argument("--retry-base-delay", type=float, default=0.5)
     parser.add_argument(
         "--cache-max-entries", type=int, default=None,
         help="LRU bound the worker enforces on the shared result cache",
@@ -279,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         worker_id=args.worker_id,
         max_retries=args.max_retries,
-        retry_base_delay=args.retry_base_delay,
         cache_max_entries=args.cache_max_entries,
     )
     return worker.run()

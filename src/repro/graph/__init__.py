@@ -1,11 +1,6 @@
 """Property-graph substrate: data model, indexed store, schema, IO, stats."""
 
-from repro.graph.changelog import (
-    DeltaKind,
-    GraphChangeLog,
-    GraphDelta,
-    compact_deltas,
-)
+from repro.graph.changelog import DeltaKind, GraphDelta, compact_deltas
 from repro.graph.columnar import ColumnarGraph, compile_graph
 from repro.graph.errors import (
     DanglingEdgeError,
@@ -49,7 +44,6 @@ __all__ = [
     "ElementNotFoundError",
     "EndpointSignature",
     "GraphCatalog",
-    "GraphChangeLog",
     "GraphDelta",
     "GraphError",
     "GraphSchema",

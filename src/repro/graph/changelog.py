@@ -1,20 +1,13 @@
-"""Typed mutation deltas and the bounded graph change log.
+"""Typed mutation deltas and their net-effect compaction.
 
-:class:`~repro.graph.store.PropertyGraph` emits a :class:`GraphDelta` for
-every mutation; :class:`GraphChangeLog` subscribes to that stream and keeps
-a bounded, epoch-stamped history so downstream consumers (incremental rule
-maintenance, dirty-window re-encoding) can ask "what changed since epoch
-N?" instead of re-reading the whole graph.
-
-The log is a ring buffer: when ``capacity`` is exceeded the oldest deltas
-fall off and the log records the highest epoch it lost.  Consumers must
-check :meth:`GraphChangeLog.complete_since` before trusting
-:meth:`GraphChangeLog.since` — an incomplete answer means the only sound
-move is a full recompute.
+:class:`~repro.graph.store.PropertyGraph` records a :class:`GraphDelta`
+for every mutation in its own bounded change log and answers
+``changes_since(epoch)`` with the compacted deltas after that epoch (see
+the store for when the log starts and when it loses history).
 
 Compaction collapses superseded deltas while preserving the *net* effect
-of the history (the only thing delta consumers here depend on — both rule
-maintenance and window invalidation re-read final graph state):
+of the history (the only thing delta readers here depend on — the
+incremental CSR and rule maintenance re-read final graph state):
 
 * add followed by remove of a subject born inside the log cancels
   entirely (including any property deltas in between);
@@ -29,14 +22,8 @@ property deltas still precedes the edges that reference the node.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.store import PropertyGraph
 
 
 class DeltaKind(Enum):
@@ -94,7 +81,7 @@ def _fold_subject(
             if out:
                 kept, prev = out[-1]
                 merged_keys = tuple(dict.fromkeys(prev.keys + delta.keys))
-                # later epoch keeps the merged delta visible to since();
+                # the merged delta carries the newest epoch it covers;
                 # add-kind survives the merge (subject is still "new")
                 out[-1] = (kept, replace(
                     prev, keys=merged_keys, epoch=max(prev.epoch, delta.epoch)
@@ -125,99 +112,3 @@ def compact_deltas(deltas: list[GraphDelta]) -> list[GraphDelta]:
     retained.sort(key=lambda entry: entry[0])
     return [delta for _, delta in retained]
 
-
-class GraphChangeLog:
-    """Bounded, thread-safe subscriber recording a graph's delta stream."""
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("changelog capacity must be >= 1")
-        self.capacity = capacity
-        self._deltas: deque[GraphDelta] = deque()
-        self._lock = threading.Lock()
-        self._dropped = 0
-        #: highest epoch any dropped delta carried; since(epoch) is only
-        #: complete for epoch >= this watermark
-        self._lost_through_epoch = 0
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def attach(self, graph: "PropertyGraph") -> "GraphChangeLog":
-        """Subscribe to ``graph``'s mutation stream; returns self."""
-        graph.subscribe(self.record)
-        return self
-
-    def detach(self, graph: "PropertyGraph") -> None:
-        graph.unsubscribe(self.record)
-
-    def record(self, delta: GraphDelta) -> None:
-        """Append one delta, evicting the oldest past capacity."""
-        with self._lock:
-            self._deltas.append(delta)
-            while len(self._deltas) > self.capacity:
-                lost = self._deltas.popleft()
-                self._dropped += 1
-                self._lost_through_epoch = max(
-                    self._lost_through_epoch, lost.epoch
-                )
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    @property
-    def dropped(self) -> int:
-        """Deltas lost to the ring-buffer bound since construction."""
-        return self._dropped
-
-    def __len__(self) -> int:
-        return len(self._deltas)
-
-    def __iter__(self) -> Iterator[GraphDelta]:
-        with self._lock:
-            return iter(list(self._deltas))
-
-    def deltas(self) -> list[GraphDelta]:
-        with self._lock:
-            return list(self._deltas)
-
-    def since(self, epoch: int) -> list[GraphDelta]:
-        """All recorded deltas with ``delta.epoch > epoch``."""
-        with self._lock:
-            return [d for d in self._deltas if d.epoch > epoch]
-
-    def complete_since(self, epoch: int) -> bool:
-        """Whether :meth:`since` covers *every* mutation after ``epoch``.
-
-        False once the ring buffer has dropped a delta newer than
-        ``epoch`` — the caller must fall back to a full recompute.
-        """
-        return self._lost_through_epoch <= epoch
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def compact(self) -> int:
-        """Collapse superseded deltas in place; returns how many went away."""
-        with self._lock:
-            before = len(self._deltas)
-            self._deltas = deque(compact_deltas(list(self._deltas)))
-            return before - len(self._deltas)
-
-    def clear(self, through_epoch: int | None = None) -> int:
-        """Drop deltas at or below ``through_epoch`` (all when None).
-
-        Deliberate clearing is *not* data loss: the caller is asserting it
-        has consumed that prefix, so the completeness watermark does not
-        move.
-        """
-        with self._lock:
-            if through_epoch is None:
-                removed = len(self._deltas)
-                self._deltas.clear()
-                return removed
-            before = len(self._deltas)
-            self._deltas = deque(
-                d for d in self._deltas if d.epoch > through_epoch
-            )
-            return before - len(self._deltas)

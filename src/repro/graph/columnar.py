@@ -20,7 +20,7 @@ Snapshots are copy-on-write: :meth:`ColumnarGraph.apply_deltas` clones
 the container spine (C-level copies) and layers small mutations on top —
 appended nodes/edges, per-node ``extras`` adjacency, dead-id tombstone
 sets — so a handful of deltas never forces an O(graph) recompile.  The
-store recompiles with :func:`compile_graph` past a budget or when the
+store recompiles with :func:`compile_graph` past a budget or when its
 change log lost history.  A snapshot lives only in the process that
 compiled it: a gateway worker compiles its own on its first query.
 """
@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.graph.changelog import DeltaKind, compact_deltas
+from repro.graph.changelog import DeltaKind
 from repro.graph.model import Edge, Node
 from repro.graph.store import property_index_key
 
@@ -367,15 +367,15 @@ class ColumnarGraph:
     ) -> "ColumnarGraph":
         """A new snapshot with ``deltas`` layered on top of this one.
 
-        ``graph`` must be the post-delta state (subjects of surviving add
-        deltas are resolved against it).  Raises on any inconsistency:
-        a delta this snapshot cannot apply is a bug, not a reason to
-        recompile.
+        ``deltas`` are compacted, as ``PropertyGraph.changes_since``
+        returns them, and ``graph`` must be the post-delta state
+        (subjects of add deltas are resolved against it).  Raises on any
+        inconsistency: a delta this snapshot cannot apply is a bug, not a
+        reason to recompile.
         """
         snap = self._clone()
         dirty_pairs: set[tuple[int, int]] = set()
-        compacted = compact_deltas(list(deltas))
-        for delta in compacted:
+        for delta in deltas:
             kind = delta.kind
             if kind is DeltaKind.NODE_ADDED:
                 snap._overlay_node_added(graph, delta, dirty_pairs)
@@ -390,7 +390,7 @@ class ColumnarGraph:
             else:  # EDGE_PROPS
                 snap._overlay_edge_props(graph, delta)
         snap._rebuild_sorted_indexes(dirty_pairs)
-        snap.overlay_ops += len(compacted)
+        snap.overlay_ops += len(deltas)
         snap.origin = "incremental"
         snap.revision += 1
         snap.graph_token, snap.epoch = graph.fingerprint()

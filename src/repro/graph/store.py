@@ -11,6 +11,10 @@ Mutation is node/edge-at-a-time (the study never needs transactions); all
 read paths return stable, deterministic orderings so that experiments are
 bit-for-bit reproducible.  Every mutation bumps a monotonic *epoch*, which
 the CSR snapshot, the catalog and the statement memo use for invalidation.
+
+The store is the only owner of its mutation history: a bounded change log
+that the incremental CSR and continuous mining read through
+:meth:`PropertyGraph.changes_since`.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import replace as _replace_delta
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.graph.changelog import DeltaKind, GraphChangeLog, GraphDelta
+from repro.graph.changelog import DeltaKind, GraphDelta, compact_deltas
 from repro.graph.errors import (
     DanglingEdgeError,
     DuplicateElementError,
@@ -45,6 +49,9 @@ _INCREMENTAL_MIN = 64
 
 #: read-statement results one graph version remembers
 STATEMENT_MEMO_SIZE = 256
+
+#: deltas the change log keeps; past it the oldest are dropped
+CHANGE_LOG_SIZE = 4096
 
 
 def _metric_inc(name: str, value: int = 1) -> None:
@@ -128,12 +135,15 @@ class PropertyGraph:
         self._token = next(_GRAPH_TOKENS)
         self._epoch = 0
         self._catalog_cache: tuple[int, "GraphCatalog"] | None = None
-        self._observers: list[Callable[[GraphDelta], None]] = []
         self._batch_depth = 0
         self._batch_dirty = False
         self._pending_deltas: list[GraphDelta] = []
+        # the change log: None until its first read; it vouches for every
+        # mutation after _log_floor
+        self._log: deque[GraphDelta] | None = None
+        self._log_floor = 0
+        self._log_dropped = 0
         self._columnar_cache: "ColumnarGraph" | None = None
-        self._columnar_log: GraphChangeLog | None = None
         self._memo: StatementMemo | None = None
         self._lock = threading.RLock()
 
@@ -159,20 +169,51 @@ class PropertyGraph:
             self._epoch += 1
 
     # ------------------------------------------------------------------
-    # mutation observers
+    # change log
     # ------------------------------------------------------------------
-    def subscribe(self, observer: Callable[[GraphDelta], None]) -> None:
-        """Register ``observer`` to receive a delta for every mutation."""
-        if observer not in self._observers:
-            self._observers.append(observer)
+    @_locked
+    def changes_since(self, epoch: int) -> list[GraphDelta] | None:
+        """The compacted deltas of every mutation after ``epoch``, oldest
+        first (see :func:`~repro.graph.changelog.compact_deltas`).
 
-    def unsubscribe(self, observer: Callable[[GraphDelta], None]) -> None:
-        # equality, not identity: a bound method like ``changelog.record``
-        # is a fresh object on every attribute access
-        self._observers = [o for o in self._observers if o != observer]
+        ``None`` when the log cannot vouch for all of them: ``epoch`` is
+        older than the log's start, or than a delta that the
+        ``CHANGE_LOG_SIZE`` bound dropped.  The first call starts the log
+        at the current epoch, so a graph nobody reads (a dataset being
+        loaded) records nothing.  Costs O(deltas after ``epoch``).
+        """
+        log = self._log
+        if log is None:
+            log = self._log = deque()
+            # writes an open batch already holds were never recorded, so
+            # the log vouches only from the epoch that batch commits
+            self._log_floor = self._epoch + (
+                1 if self._batch_depth and self._batch_dirty else 0
+            )
+        if epoch < self._log_floor:
+            return None
+        newer: list[GraphDelta] = []
+        for delta in reversed(log):
+            if delta.epoch <= epoch:
+                break
+            newer.append(delta)
+        newer.reverse()
+        return compact_deltas(newer)
+
+    @property
+    def dropped_changes(self) -> int:
+        """Deltas the change log dropped to its ``CHANGE_LOG_SIZE`` bound."""
+        return self._log_dropped
+
+    def _record(self, delta: GraphDelta) -> None:
+        log = self._log
+        log.append(delta)
+        while len(log) > CHANGE_LOG_SIZE:
+            self._log_floor = max(self._log_floor, log.popleft().epoch)
+            self._log_dropped += 1
 
     def _emit(self, kind: DeltaKind, subject_id: str, **fields: object) -> None:
-        if not self._observers:
+        if self._log is None:
             return
         delta = GraphDelta(
             kind=kind, epoch=self._epoch, subject_id=subject_id, **fields
@@ -180,9 +221,8 @@ class PropertyGraph:
         if self._batch_depth:
             # stamped with the committing epoch once the batch flushes
             self._pending_deltas.append(delta)
-            return
-        for observer in list(self._observers):
-            observer(delta)
+        else:
+            self._record(delta)
 
     @contextmanager
     def batch(self) -> Iterator["PropertyGraph"]:
@@ -190,14 +230,14 @@ class PropertyGraph:
 
         N inserts normally cost N per-epoch cache invalidations; inside
         ``with graph.batch():`` the epoch advances once, at exit, and the
-        buffered deltas flush to observers stamped with that committing
+        buffered deltas enter the change log stamped with that committing
         epoch.  Reentrant — nested batches flush with the outermost exit.
 
         Mid-batch reads see the mutated contents but the *pre-batch*
         epoch/fingerprint, so derived statistics may lag until exit.
         Mutations already applied are kept even if the body raises (the
-        store is not transactional); the flush still happens so observers
-        never miss a delta.
+        store is not transactional); the flush still happens so the change
+        log never misses a delta.
         """
         self._batch_depth += 1
         try:
@@ -211,18 +251,17 @@ class PropertyGraph:
                         self._epoch += 1
                     pending, self._pending_deltas = self._pending_deltas, []
                     for delta in pending:
-                        stamped = _replace_delta(delta, epoch=self._epoch)
-                        for observer in list(self._observers):
-                            observer(stamped)
+                        self._record(_replace_delta(delta, epoch=self._epoch))
 
     def columnar(self) -> "ColumnarGraph":
         """The CSR snapshot of the current contents, cached per epoch.
 
-        The first call compiles it.  Small mutation batches since the
-        cached snapshot are applied incrementally from the private
-        change log; a batch over budget, or ring-buffer loss, recompiles
-        in full (see :mod:`repro.graph.columnar`).  An incremental
-        update that fails raises: it is a bug, not a slow path.
+        The first call compiles it and starts the change log.  Small
+        mutation batches since the cached snapshot are applied
+        incrementally from :meth:`changes_since`; a batch over budget,
+        or lost history, recompiles in full (see
+        :mod:`repro.graph.columnar`).  An incremental update that fails
+        raises: it is a bug, not a slow path.
         Mid-batch, after a write, an uncached throwaway snapshot is
         compiled instead, so a mid-batch read sees the mid-batch
         contents.
@@ -243,12 +282,12 @@ class PropertyGraph:
 
         if dirty:
             return compile_graph(self)
-        if self._columnar_log is None:
-            self._columnar_log = GraphChangeLog().attach(self)
-        log = self._columnar_log
         snapshot = None
-        if cached is not None and log.complete_since(cached.epoch):
-            deltas = log.since(cached.epoch)
+        # read even without a snapshot: the first compile starts the log
+        deltas = self.changes_since(
+            self._epoch if cached is None else cached.epoch
+        )
+        if cached is not None and deltas is not None:
             budget = max(
                 _INCREMENTAL_MIN,
                 (len(self._nodes) + len(self._edges)) // 4,
@@ -260,22 +299,18 @@ class PropertyGraph:
             snapshot = compile_graph(self)
             _metric_inc("graph.csr.compiles")
         self._columnar_cache = snapshot
-        log.clear(through_epoch=self._epoch)
         return snapshot
 
     @_locked
     def invalidate_columnar(self) -> None:
-        """Drop the cached CSR snapshot, change log, catalog and memo.
+        """Drop the cached CSR snapshot, catalog and memo.
 
         The next ``columnar()``/``catalog()`` call rebuilds from
         scratch and every statement runs again.  Used to release memory,
         and by the perf gate to profile from a cold cache regardless of
         what the process ran earlier (the dataset registry shares graph
-        instances).
+        instances).  The change log stays: a watch may still read it.
         """
-        if self._columnar_log is not None:
-            self._columnar_log.detach(self)
-            self._columnar_log = None
         self._columnar_cache = None
         self._catalog_cache = None
         self._memo = None

@@ -2,8 +2,8 @@
 
 The batch pipelines mine a static snapshot; ``repro.stream`` keeps the
 result alive as the graph changes: typed deltas from the graph's change
-log drive footprint-pruned metric re-evaluation, dirty-window
-re-encoding, and rule-drift events — see :mod:`repro.stream.watch` for
+log (``PropertyGraph.changes_since``) drive footprint-pruned metric
+re-evaluation and rule-drift events — see :mod:`repro.stream.watch` for
 the serving loop and :mod:`repro.stream.maintainer` for the equivalence
 guarantee (incremental maintenance ≡ full recompute).
 """

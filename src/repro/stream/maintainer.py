@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.graph.changelog import GraphChangeLog, GraphDelta
+from repro.graph.changelog import GraphDelta
 from repro.graph.store import PropertyGraph
 from repro.metrics.definitions import RuleMetrics
 from repro.metrics.evaluator import evaluate_rule
@@ -91,10 +91,10 @@ def _batch_vocabulary(
 class IncrementalMaintainer:
     """Keeps one :class:`MiningRun`'s metrics in sync with its graph.
 
-    The maintainer owns the run's metric freshness: call :meth:`apply`
-    with the delta batch after mutating the graph (or :meth:`apply_log`
-    to drain an attached changelog).  Metrics are updated in place on
-    the run's results.
+    The maintainer owns the run's metric freshness: after mutating the
+    graph, call :meth:`apply` with what ``graph.changes_since(epoch)``
+    returns for the epoch the metrics were last fresh at.  Metrics are
+    updated in place on the run's results.
     """
 
     def __init__(self, run: MiningRun, graph: PropertyGraph) -> None:
@@ -136,15 +136,15 @@ class IncrementalMaintainer:
         return fresh
 
     # ------------------------------------------------------------------
-    def apply(
-        self, deltas: list[GraphDelta], complete: bool = True
-    ) -> MaintenanceReport:
+    def apply(self, deltas: list[GraphDelta] | None) -> MaintenanceReport:
         """Maintain metrics after ``deltas`` were applied to the graph.
 
-        ``complete=False`` declares the delta list untrustworthy (ring
-        buffer overflowed): every evaluable rule is re-evaluated.  The
-        returned report lists the rules whose metrics actually moved.
+        ``None`` (the graph's change log lost history) re-evaluates every
+        evaluable rule.  The returned report lists the rules whose
+        metrics actually moved.
         """
+        complete = deltas is not None
+        deltas = deltas or []
         report = MaintenanceReport(
             epoch=self.graph.epoch,
             deltas=len(deltas),
@@ -170,8 +170,7 @@ class IncrementalMaintainer:
                 if complete:
                     # pruning needs a trustworthy delta list; on fallback
                     # every evaluable rule re-evaluates unconditionally
-                    # (the surviving deltas may have compacted to nothing
-                    # while the *lost* ones touched anything at all)
+                    # (the lost deltas may have touched anything at all)
                     footprint = resolve_footprint(
                         self.footprint(index), catalog,
                         batch_labels, batch_edge_types,
@@ -202,21 +201,6 @@ class IncrementalMaintainer:
         if report.changes:
             obs.inc("stream.rules_changed", len(report.changes))
         return report
-
-    # ------------------------------------------------------------------
-    def apply_log(
-        self, changelog: GraphChangeLog, since_epoch: int
-    ) -> MaintenanceReport:
-        """Drain ``changelog`` for mutations after ``since_epoch``.
-
-        Compacts first (superseded deltas cannot affect final metrics),
-        and degrades to a full re-evaluation when the ring buffer lost
-        deltas newer than ``since_epoch``.
-        """
-        changelog.compact()
-        complete = changelog.complete_since(since_epoch)
-        deltas = changelog.since(since_epoch)
-        return self.apply(deltas, complete=complete)
 
 
 __all__ = [

@@ -1,13 +1,13 @@
 """Continuous mining: a watch service over one mutating dataset.
 
 ``WatchService`` owns the live loop the batch pipeline lacks: it mines a
-baseline rule set once, attaches a :class:`~repro.graph.changelog
-.GraphChangeLog` to the dataset's graph, accepts mutation batches (the
-HTTP wire format of :mod:`repro.stream.mutations`), and keeps the mined
-metrics fresh with the :class:`~repro.stream.maintainer
-.IncrementalMaintainer` — re-evaluating only affected rules, refreshing
-only dirty encoding windows, and emitting ``rule.drift`` events through
-obs when a rule's confidence band moves or new violations appear.
+baseline rule set once, accepts mutation batches (the HTTP wire format
+of :mod:`repro.stream.mutations`), and keeps the mined metrics fresh with
+the :class:`~repro.stream.maintainer.IncrementalMaintainer` — reading
+the graph's own change log (``changes_since``), re-evaluating only
+affected rules, and emitting ``rule.drift`` events through obs when a
+rule's confidence band moves or new violations appear.  It never
+re-encodes or re-prompts: a re-mine encodes its own snapshot.
 
 Maintenance is *debounced*: a burst of mutation batches coalesces into
 one pass that runs once the stream has been quiet for
@@ -25,10 +25,6 @@ from typing import Callable
 
 from repro import obs
 from repro.datasets.base import Dataset
-from repro.encoding.dirty import changed_window_indexes, refresh_statements
-from repro.encoding.incident import IncidentEncoder, Statement
-from repro.encoding.windows import SlidingWindowChunker, WindowSet
-from repro.graph.changelog import GraphChangeLog
 from repro.mining.pipeline import PipelineContext
 from repro.mining.result import MiningRun
 from repro.mining.sliding import SlidingWindowPipeline
@@ -46,7 +42,6 @@ class WatchService:
         model: str = "llama3",
         prompt_mode: str = "zero_shot",
         debounce_seconds: float = 0.5,
-        changelog_capacity: int = 4096,
         base_seed: int = 0,
         clock: Callable[[], float] | None = None,
         window_size: int | None = None,
@@ -65,15 +60,13 @@ class WatchService:
         if overlap is not None:
             self._window_args["overlap"] = overlap
 
-        self.changelog = GraphChangeLog(changelog_capacity).attach(self.graph)
         self.detector = DriftDetector(self.graph.name)
         self._lock = threading.RLock()
         self._run: MiningRun | None = None
         self._maintainer: IncrementalMaintainer | None = None
-        self._statements: list[Statement] | None = None
-        self._window_set: WindowSet | None = None
-        self._chunker: SlidingWindowChunker | None = None
         self._maintained_epoch = self.graph.epoch
+        # the first read starts the graph's change log at this epoch
+        self.graph.changes_since(self._maintained_epoch)
         self._last_mutation_at: float | None = None
         self._last_trace_id = ""
         self._batches_received = 0
@@ -84,7 +77,6 @@ class WatchService:
             "rules_pruned": 0,
             "rules_changed": 0,
             "full_fallbacks": 0,
-            "windows_changed": 0,
         }
         self._last_report: MaintenanceReport | None = None
         self._poller: threading.Thread | None = None
@@ -109,10 +101,7 @@ class WatchService:
                 pipeline = SlidingWindowPipeline(
                     context, base_seed=self.base_seed, **self._window_args
                 )
-                self._chunker = pipeline.chunker
                 self._run = pipeline.mine(self.model, self.prompt_mode)
-                self._statements = list(context.statements)
-                self._window_set = pipeline.window_set
             self._maintainer = IncrementalMaintainer(self._run, self.graph)
             self._maintained_epoch = self.graph.epoch
 
@@ -141,8 +130,13 @@ class WatchService:
         return {
             "applied": applied,
             "epoch": self.graph.epoch,
-            "pending": len(self.changelog.since(self._maintained_epoch)),
+            "pending": self._pending(),
         }
+
+    def _pending(self) -> int | None:
+        """Deltas not yet maintained; None once the log lost some."""
+        deltas = self.graph.changes_since(self._maintained_epoch)
+        return None if deltas is None else len(deltas)
 
     @property
     def dirty(self) -> bool:
@@ -168,39 +162,17 @@ class WatchService:
             if not self.dirty:
                 return None
             self.prime()
-            self.changelog.compact()
-            since = self._maintained_epoch
-            complete = self.changelog.complete_since(since)
-            deltas = self.changelog.since(since)
-            report = self._maintainer.apply(deltas, complete=complete)
-            self._refresh_windows(deltas, complete)
+            report = self._maintainer.apply(
+                self.graph.changes_since(self._maintained_epoch)
+            )
             events = self.detector.observe(
                 report, trace_id=self._last_trace_id
             )
             self._maintained_epoch = self.graph.epoch
-            self.changelog.clear(through_epoch=self._maintained_epoch)
             self._last_mutation_at = None
             self._last_trace_id = ""
             self._account(report, events)
             return report
-
-    def _refresh_windows(self, deltas: list, complete: bool) -> None:
-        """Re-encode dirty incident blocks and re-chunk; track savings."""
-        if self._statements is None or self._chunker is None:
-            return
-        if complete:
-            statements = refresh_statements(
-                self.graph, self._statements, deltas
-            )
-        else:  # lost deltas: the cached statements are untrustworthy
-            statements = IncidentEncoder().encode(self.graph)
-        window_set = self._chunker.chunk_statements(statements)
-        changed = changed_window_indexes(self._window_set, window_set)
-        self._statements = statements
-        self._window_set = window_set
-        self._maintenance["windows_changed"] += len(changed)
-        obs.inc("stream.windows_changed", len(changed))
-        obs.set_gauge("stream.windows_total", window_set.window_count)
 
     def _account(
         self, report: MaintenanceReport, events: list[DriftEvent]
@@ -282,13 +254,9 @@ class WatchService:
                 "batches_received": self._batches_received,
                 "mutations_applied": self._mutations_applied,
                 "changelog": {
-                    "size": len(self.changelog),
-                    "dropped": self.changelog.dropped,
+                    "size": self._pending(),
+                    "dropped": self.graph.dropped_changes,
                 },
                 "maintenance": {**self._maintenance, "last": last},
-                "windows": (
-                    self._window_set.window_count
-                    if self._window_set is not None else None
-                ),
                 "drift": self.detector.telemetry(),
             }

@@ -1,16 +1,18 @@
-"""Graph change log: delta emission, batching, the ring buffer bound
-and net-effect compaction."""
+"""The store's change log: delta recording, batching, the
+CHANGE_LOG_SIZE bound and net-effect compaction."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
 from repro.graph import (
     DeltaKind,
-    GraphChangeLog,
     GraphDelta,
     PropertyGraph,
     compact_deltas,
+    store,
 )
 
 
@@ -22,23 +24,43 @@ def build_graph() -> PropertyGraph:
     return graph
 
 
+def started(graph: PropertyGraph) -> int:
+    """Start ``graph``'s change log; returns the epoch it starts at."""
+    assert graph.changes_since(graph.epoch) == []
+    return graph.epoch
+
+
+def recorded(graph: PropertyGraph, *mutations) -> list[GraphDelta]:
+    """The deltas each mutation left in the log, read right after it, so
+    compaction never merges two mutations' deltas."""
+    deltas: list[GraphDelta] = []
+    for mutate in mutations:
+        epoch = graph.epoch
+        mutate()
+        deltas += graph.changes_since(epoch)
+    return deltas
+
+
 # ----------------------------------------------------------------------
-# emission
+# recording
 # ----------------------------------------------------------------------
 class TestEmission:
     def test_every_mutator_emits_a_typed_delta(self):
         graph = PropertyGraph("emit")
-        log = GraphChangeLog().attach(graph)
-        graph.add_node("u1", "User", {"name": "alice"})
-        graph.add_node("u2", "User", {})
-        graph.add_edge("f1", "FOLLOWS", "u1", "u2", {"since": "2020"})
-        graph.update_node("u1", {"age": 30})
-        graph.update_edge("f1", {"weight": 2})
-        graph.remove_node_property("u1", "age")
-        graph.remove_edge("f1")
-        graph.remove_node("u2")
-        kinds = [delta.kind for delta in log]
-        assert kinds == [
+        started(graph)
+        deltas = recorded(
+            graph,
+            lambda: graph.add_node("u1", "User", {"name": "alice"}),
+            lambda: graph.add_node("u2", "User", {}),
+            lambda: graph.add_edge("f1", "FOLLOWS", "u1", "u2",
+                                   {"since": "2020"}),
+            lambda: graph.update_node("u1", {"age": 30}),
+            lambda: graph.update_edge("f1", {"weight": 2}),
+            lambda: graph.remove_node_property("u1", "age"),
+            lambda: graph.remove_edge("f1"),
+            lambda: graph.remove_node("u2"),
+        )
+        assert [delta.kind for delta in deltas] == [
             DeltaKind.NODE_ADDED, DeltaKind.NODE_ADDED,
             DeltaKind.EDGE_ADDED, DeltaKind.NODE_PROPS,
             DeltaKind.EDGE_PROPS, DeltaKind.NODE_PROPS,
@@ -47,11 +69,11 @@ class TestEmission:
 
     def test_delta_fields_describe_the_mutation(self):
         graph = PropertyGraph("emit")
-        log = GraphChangeLog().attach(graph)
+        start = started(graph)
         graph.add_node("u1", "User", {"name": "alice", "age": 30})
         graph.add_node("u2", "User", {})
         graph.add_edge("f1", "FOLLOWS", "u1", "u2", {"since": "2020"})
-        added, _, edge = log.deltas()
+        added, _, edge = graph.changes_since(start)
         assert added.subject_id == "u1"
         assert added.labels == ("User",)
         assert added.keys == ("age", "name")
@@ -61,37 +83,72 @@ class TestEmission:
 
     def test_remove_node_cascades_edge_removals_first(self):
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
+        start = started(graph)
         graph.remove_node("u1")
-        kinds = [delta.kind for delta in log]
-        assert kinds == [DeltaKind.EDGE_REMOVED, DeltaKind.NODE_REMOVED]
-        assert log.deltas()[0].subject_id == "f1"
+        deltas = graph.changes_since(start)
+        assert [delta.kind for delta in deltas] == [
+            DeltaKind.EDGE_REMOVED, DeltaKind.NODE_REMOVED,
+        ]
+        assert deltas[0].subject_id == "f1"
 
     def test_epochs_are_monotonic_and_match_the_graph(self):
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
-        graph.update_node("u1", {"age": 1})
-        graph.update_node("u1", {"age": 2})
-        first, second = log.deltas()
+        started(graph)
+        first, second = recorded(
+            graph,
+            lambda: graph.update_node("u1", {"age": 1}),
+            lambda: graph.update_node("u1", {"age": 2}),
+        )
         assert first.epoch < second.epoch
         assert second.epoch == graph.epoch
 
-    def test_unsubscribe_stops_recording(self):
+    def test_log_starts_at_its_first_read(self):
+        # loading a graph records nothing: no read has started the log
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
-        log.detach(graph)
+        assert graph.changes_since(0) is None
+        start = graph.epoch
+        assert graph.changes_since(start) == []
         graph.update_node("u1", {"age": 1})
-        assert len(log) == 0
+        assert [d.subject_id for d in graph.changes_since(start)] == ["u1"]
+        assert graph.changes_since(start - 1) is None
+
+    def test_first_compile_starts_the_log(self):
+        graph = build_graph()
+        graph.columnar()
+        compiled_at = graph.epoch
+        graph.update_node("u2", {"age": 2})
+        assert [d.subject_id for d in graph.changes_since(compiled_at)] \
+            == ["u2"]
 
     def test_since_filters_by_epoch(self):
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
+        started(graph)
         graph.update_node("u1", {"age": 1})
         mark = graph.epoch
         graph.update_node("u2", {"age": 2})
-        later = log.since(mark)
+        later = graph.changes_since(mark)
         assert [d.subject_id for d in later] == ["u2"]
-        assert log.since(graph.epoch) == []
+        assert graph.changes_since(graph.epoch) == []
+
+    def test_reads_do_not_consume_the_log(self):
+        graph = build_graph()
+        start = started(graph)
+        graph.update_node("u1", {"age": 1})
+        mark = graph.epoch
+        assert len(graph.changes_since(start)) == 1
+        graph.update_node("u2", {"age": 2})
+        # a reader at each epoch still gets exactly its own deltas
+        assert [d.subject_id for d in graph.changes_since(start)] \
+            == ["u1", "u2"]
+        assert [d.subject_id for d in graph.changes_since(mark)] == ["u2"]
+
+    def test_invalidating_the_snapshot_keeps_the_log(self):
+        graph = build_graph()
+        graph.columnar()
+        start = graph.epoch
+        graph.update_node("u1", {"age": 1})
+        graph.invalidate_columnar()
+        assert [d.subject_id for d in graph.changes_since(start)] == ["u1"]
 
 
 # ----------------------------------------------------------------------
@@ -109,11 +166,34 @@ class TestBatch:
 
     def test_batch_deltas_carry_the_committing_epoch(self):
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
+        start = started(graph)
         with graph.batch():
             graph.add_node("u3", "User", {})
             graph.update_node("u1", {"age": 9})
-        assert {delta.epoch for delta in log} == {graph.epoch}
+        deltas = graph.changes_since(start)
+        assert len(deltas) == 2
+        assert {delta.epoch for delta in deltas} == {graph.epoch}
+
+    def test_batch_deltas_enter_the_log_at_the_outermost_exit(self):
+        graph = build_graph()
+        start = started(graph)
+        with graph.batch():
+            graph.add_node("u3", "User", {})
+            with graph.batch():
+                graph.add_node("u4", "User", {})
+            assert graph.changes_since(start) == []
+        assert [d.subject_id for d in graph.changes_since(start)] \
+            == ["u3", "u4"]
+
+    def test_log_started_inside_a_batch_vouches_from_its_commit(self):
+        graph = build_graph()
+        before = graph.epoch
+        with graph.batch():
+            graph.add_node("u3", "User", {})     # written before the log
+            assert graph.changes_since(before) is None
+            graph.add_node("u4", "User", {})
+        assert graph.changes_since(before) is None
+        assert graph.changes_since(graph.epoch) == []
 
     def test_empty_batch_does_not_bump_the_epoch(self):
         graph = build_graph()
@@ -124,7 +204,7 @@ class TestBatch:
 
     def test_nested_batches_commit_once_at_the_outermost_exit(self):
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
+        start = started(graph)
         before = graph.epoch
         with graph.batch():
             graph.add_node("u3", "User", {})
@@ -132,11 +212,11 @@ class TestBatch:
                 graph.add_node("u4", "User", {})
             assert graph.epoch == before      # still uncommitted
         assert graph.epoch == before + 1
-        assert {delta.epoch for delta in log} == {graph.epoch}
+        assert {d.epoch for d in graph.changes_since(start)} == {graph.epoch}
 
     def test_batch_flushes_deltas_even_when_the_body_raises(self):
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
+        start = started(graph)
         with pytest.raises(RuntimeError):
             with graph.batch():
                 graph.add_node("u3", "User", {})
@@ -144,8 +224,9 @@ class TestBatch:
         # the store is not transactional: the mutation stayed applied
         # and its delta was flushed at the committed epoch
         assert graph.has_node("u3")
-        assert [d.subject_id for d in log] == ["u3"]
-        assert log.deltas()[0].epoch == graph.epoch
+        deltas = graph.changes_since(start)
+        assert [d.subject_id for d in deltas] == ["u3"]
+        assert deltas[0].epoch == graph.epoch
 
     def test_mid_batch_reads_see_content_but_not_the_new_epoch(self):
         graph = build_graph()
@@ -167,44 +248,73 @@ class TestBatch:
 
 
 # ----------------------------------------------------------------------
-# ring buffer bound
+# the CHANGE_LOG_SIZE bound
 # ----------------------------------------------------------------------
 class TestRingBuffer:
-    def test_capacity_evicts_oldest_and_raises_the_watermark(self):
+    def test_capacity_evicts_oldest_and_raises_the_watermark(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(store, "CHANGE_LOG_SIZE", 3)
         graph = PropertyGraph("ring")
-        log = GraphChangeLog(capacity=3).attach(graph)
+        start = started(graph)
         for index in range(5):
             graph.add_node(f"u{index}", "User", {})
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [d.subject_id for d in log] == ["u2", "u3", "u4"]
+        assert graph.dropped_changes == 2
+        # u1's delta was the newest dropped: the log vouches from there
+        assert graph.changes_since(start + 1) is None
+        assert [d.subject_id for d in graph.changes_since(start + 2)] \
+            == ["u2", "u3", "u4"]
 
-    def test_complete_since_reflects_lost_deltas(self):
+    def test_complete_since_reflects_lost_deltas(self, monkeypatch):
+        monkeypatch.setattr(store, "CHANGE_LOG_SIZE", 2)
         graph = PropertyGraph("ring")
-        log = GraphChangeLog(capacity=2).attach(graph)
+        start = started(graph)
         graph.add_node("u0", "User", {})
         first_epoch = graph.epoch
-        assert log.complete_since(0)
+        assert graph.changes_since(start) is not None
         graph.add_node("u1", "User", {})
         graph.add_node("u2", "User", {})          # drops u0's delta
-        assert not log.complete_since(0)
-        assert log.complete_since(first_epoch)
+        assert graph.changes_since(start) is None
+        assert graph.changes_since(first_epoch) is not None
 
-    def test_deliberate_clear_is_not_data_loss(self):
+    def test_a_dropped_batch_delta_loses_its_whole_epoch(self, monkeypatch):
+        monkeypatch.setattr(store, "CHANGE_LOG_SIZE", 2)
         graph = PropertyGraph("ring")
-        log = GraphChangeLog(capacity=8).attach(graph)
-        graph.add_node("u0", "User", {})
-        graph.add_node("u1", "User", {})
-        mark = graph.epoch
-        removed = log.clear(through_epoch=mark)
-        assert removed == 2
-        assert log.complete_since(0)              # watermark did not move
-        graph.add_node("u2", "User", {})
-        assert [d.subject_id for d in log.since(mark)] == ["u2"]
+        start = started(graph)
+        with graph.batch():
+            for index in range(3):
+                graph.add_node(f"u{index}", "User", {})
+        assert graph.dropped_changes == 1
+        assert graph.changes_since(start) is None
+        assert graph.changes_since(graph.epoch) == []
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GraphChangeLog(capacity=0)
+    def test_reads_scan_only_the_deltas_after_the_epoch(self):
+        graph = build_graph()
+        started(graph)
+        for index in range(50):
+            graph.update_node("u1", {"n": index})
+        mark = graph.epoch
+        graph.update_node("u2", {"n": 0})
+        graph._log = log = VisitCountingDeque(graph._log)
+        assert [d.subject_id for d in graph.changes_since(mark)] == ["u2"]
+        # the one newer delta, and the one that stops the scan
+        assert log.visited == 2
+
+
+class VisitCountingDeque(deque):
+    """A deque that counts the items any iteration over it hands out."""
+
+    visited = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.visited += 1
+            yield item
+
+    def __reversed__(self):
+        for item in super().__reversed__():
+            self.visited += 1
+            yield item
 
 
 # ----------------------------------------------------------------------
@@ -320,12 +430,13 @@ class TestCompaction:
 
     def test_live_log_compacts_interleaved_mutations(self):
         graph = build_graph()
-        log = GraphChangeLog().attach(graph)
+        start = started(graph)
         graph.add_edge("f2", "FOLLOWS", "u2", "u1")
         graph.remove_edge("f2")
         graph.add_edge("f2", "FOLLOWS", "u2", "u1")
         graph.remove_edge("f2")
         graph.update_node("u1", {"age": 40})
-        removed = log.compact()
-        assert removed == 4
-        assert [d.kind for d in log] == [DeltaKind.NODE_PROPS]
+        deltas = graph.changes_since(start)
+        assert [(d.kind, d.subject_id) for d in deltas] == [
+            (DeltaKind.NODE_PROPS, "u1"),
+        ]

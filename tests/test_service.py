@@ -72,8 +72,6 @@ FINGERPRINT_EXEMPT = {
     "repro.encoding": "package init: re-exports only",
     "repro.encoding.adjacency":
         "the ablation encoder; the pipelines mine the incident encoding",
-    "repro.encoding.dirty":
-        "watch-mode block invalidation; a mined run never calls it",
 }
 
 

@@ -1,20 +1,24 @@
 """Property-based equivalence: incremental maintenance under random
 graphs and random mutation batches is value-identical to a from-scratch
-recompute — the maintainer's core guarantee (per-rule exact metrics)."""
+recompute — the maintainer's core guarantee (per-rule exact metrics) —
+including when the store's bounded change log drops history that a
+reader still needed."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.correction.corrector import CorrectionOutcome
-from repro.graph import GraphChangeLog, PropertyGraph
+from repro.graph import PropertyGraph, store
 from repro.graph.errors import GraphError
 from repro.metrics.definitions import RuleMetrics
 from repro.mining.result import MiningRun, RuleResult
 from repro.rules.model import ConsistencyRule, RuleKind
 from repro.rules.translator import MetricQueries
 from repro.stream import IncrementalMaintainer
+from tests.test_graph_columnar import assert_snapshot_matches_store
 
 LABELS = ("User", "Tweet", "Item")
 EDGE_TYPES = ("FOLLOWS", "POSTS", "LIKES")
@@ -159,8 +163,12 @@ def build_graph(nodes, edges) -> PropertyGraph:
     return graph
 
 
-def apply_ops(graph: PropertyGraph, ops) -> None:
+def apply_ops(graph: PropertyGraph, ops, tag: str = "") -> int:
+    """Apply ``ops``, naming new elements with ``tag``; returns how many
+    deltas they made (a removed node makes one per incident edge, then
+    its own)."""
     counter = [0]
+    deltas = 0
 
     def pick(population, index):
         items = list(population)
@@ -169,29 +177,36 @@ def apply_ops(graph: PropertyGraph, ops) -> None:
     for op in ops:
         if op[0] == "add_node":
             counter[0] += 1
-            graph.add_node(f"m{counter[0]}", op[1], dict(op[2]))
+            graph.add_node(f"m{tag}{counter[0]}", op[1], dict(op[2]))
+            deltas += 1
         elif op[0] == "remove_node":
             victim = pick(graph.nodes(), op[1])
             if victim is not None:
+                deltas += graph.degree(victim.id) + 1
                 graph.remove_node(victim.id)
         elif op[0] == "add_edge":
             src = pick(graph.nodes(), op[2])
             dst = pick(graph.nodes(), op[3])
             if src is not None and dst is not None:
                 counter[0] += 1
-                graph.add_edge(f"me{counter[0]}", op[1], src.id, dst.id)
+                graph.add_edge(f"me{tag}{counter[0]}", op[1], src.id, dst.id)
+                deltas += 1
         elif op[0] == "remove_edge":
             victim = pick(graph.edges(), op[1])
             if victim is not None:
                 graph.remove_edge(victim.id)
+                deltas += 1
         elif op[0] == "set_prop":
             target = pick(graph.nodes(), op[1])
             if target is not None:
                 graph.update_node(target.id, {op[2]: op[3]})
+                deltas += 1
         else:  # del_prop
             target = pick(graph.nodes(), op[1])
             if target is not None and op[2] in target.properties:
                 graph.remove_node_property(target.id, op[2])
+                deltas += 1
+    return deltas
 
 
 def assert_equivalent(maintainer: IncrementalMaintainer) -> None:
@@ -216,10 +231,10 @@ def test_incremental_maintenance_equals_full_recompute(nodes, edges, ops):
     for index, metrics in enumerate(maintainer.recompute()):
         run.results[index].metrics = metrics
 
-    log = GraphChangeLog().attach(graph)
     since = graph.epoch
     apply_ops(graph, ops)
-    maintainer.apply_log(log, since)
+    report = maintainer.apply(graph.changes_since(since))
+    assert not report.full_fallback
     assert_equivalent(maintainer)
 
 
@@ -232,11 +247,11 @@ def test_equivalence_holds_for_batched_mutations(nodes, edges, ops):
     for index, metrics in enumerate(maintainer.recompute()):
         run.results[index].metrics = metrics
 
-    log = GraphChangeLog().attach(graph)
     since = graph.epoch
     with graph.batch():
         apply_ops(graph, ops)
-    maintainer.apply_log(log, since)
+    report = maintainer.apply(graph.changes_since(since))
+    assert not report.full_fallback
     assert_equivalent(maintainer)
 
 
@@ -249,10 +264,12 @@ def test_equivalence_survives_ring_buffer_overflow(nodes, edges, ops):
     for index, metrics in enumerate(maintainer.recompute()):
         run.results[index].metrics = metrics
 
-    log = GraphChangeLog(capacity=2).attach(graph)
     since = graph.epoch
-    apply_ops(graph, ops)
-    maintainer.apply_log(log, since)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "CHANGE_LOG_SIZE", 2)
+        made = apply_ops(graph, ops)
+        report = maintainer.apply(graph.changes_since(since))
+    assert report.full_fallback == (made > 2)
     assert_equivalent(maintainer)
 
 
@@ -265,7 +282,6 @@ def test_successive_batches_stay_equivalent(nodes, edges, ops):
     for index, metrics in enumerate(maintainer.recompute()):
         run.results[index].metrics = metrics
 
-    log = GraphChangeLog().attach(graph)
     half = max(1, len(ops) // 2)
     for chunk in (ops[:half], ops[half:]):
         since = graph.epoch
@@ -273,6 +289,46 @@ def test_successive_batches_stay_equivalent(nodes, edges, ops):
             apply_ops(graph, chunk)
         except GraphError:  # an op invalidated by the previous chunk
             pass
-        maintainer.apply_log(log, since)
-        log.clear(through_epoch=graph.epoch)
+        report = maintainer.apply(graph.changes_since(since))
+        assert not report.full_fallback
         assert_equivalent(maintainer)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nodes=node_specs, edges=edge_specs,
+    batches=st.lists(mutation_ops, min_size=1, max_size=6),
+    every=st.integers(min_value=1, max_value=3),
+    bound=st.integers(min_value=1, max_value=12),
+)
+def test_two_readers_share_one_bounded_log(nodes, edges, batches, every, bound):
+    """The CSR reads the graph's one change log after every batch, the
+    maintainer every ``every`` batches; a read answers None exactly when
+    more deltas than the bound arrived since that reader's epoch."""
+    graph = build_graph(nodes, edges)
+    run = make_run()
+    maintainer = IncrementalMaintainer(run, graph)
+    for index, metrics in enumerate(maintainer.recompute()):
+        run.results[index].metrics = metrics
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "CHANGE_LOG_SIZE", bound)
+        maintained, behind = graph.epoch, 0
+        for number, ops in enumerate(batches, start=1):
+            compiled = graph.columnar().epoch
+            with graph.batch():
+                made = apply_ops(graph, ops, tag=f"b{number}-")
+            behind += made
+            lost = graph.changes_since(compiled) is None
+            assert lost == (made > bound)
+            snapshot = graph.columnar()
+            assert_snapshot_matches_store(snapshot, graph)
+            if lost:
+                assert snapshot.origin == "full"
+            if number % every == 0 or number == len(batches):
+                deltas = graph.changes_since(maintained)
+                assert (deltas is None) == (behind > bound)
+                report = maintainer.apply(deltas)
+                assert report.full_fallback == (deltas is None)
+                assert_equivalent(maintainer)
+                maintained, behind = graph.epoch, 0

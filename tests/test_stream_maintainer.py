@@ -7,12 +7,7 @@ import pytest
 
 from repro import obs
 from repro.correction.corrector import CorrectionOutcome
-from repro.graph import (
-    DeltaKind,
-    GraphChangeLog,
-    GraphDelta,
-    PropertyGraph,
-)
+from repro.graph import DeltaKind, GraphDelta, PropertyGraph, store
 from repro.metrics.definitions import RuleMetrics
 from repro.mining.result import MiningRun, RuleResult
 from repro.rules.model import ConsistencyRule, RuleKind
@@ -201,10 +196,9 @@ class TestMaintainer:
 
     def test_unaffected_rules_are_pruned_not_reevaluated(self):
         graph, maintainer = fresh_maintainer()
-        log = GraphChangeLog().attach(graph)
         since = graph.epoch
         graph.update_node("t2", {"text": "filled in"})
-        report = maintainer.apply_log(log, since)
+        report = maintainer.apply(graph.changes_since(since))
         # only the Tweet rule touches Tweet.text
         assert report.reevaluated == 1
         assert report.pruned == 2
@@ -215,23 +209,21 @@ class TestMaintainer:
 
     def test_maintained_metrics_equal_recompute(self):
         graph, maintainer = fresh_maintainer()
-        log = GraphChangeLog().attach(graph)
         since = graph.epoch
         with graph.batch():
             graph.add_node("u3", "User", {})
             graph.add_edge("f2", "FOLLOWS", "u3", "u1")
             graph.remove_edge("p2")
             graph.remove_node("t2")
-        maintainer.apply_log(log, since)
+        maintainer.apply(graph.changes_since(since))
         maintained = [r.metrics for r in maintainer.run.results]
         assert maintained == maintainer.recompute()
 
     def test_constant_rules_are_never_reevaluated(self):
         graph, maintainer = fresh_maintainer()
-        log = GraphChangeLog().attach(graph)
         since = graph.epoch
         graph.add_node("u9", "User", {"name": "zoe"})
-        report = maintainer.apply_log(log, since)
+        report = maintainer.apply(graph.changes_since(since))
         assert report.constant_rules == 2
         assert report.reevaluated + report.pruned == 3
         zero = RuleMetrics(support=0, relevant=0, body=0)
@@ -246,14 +238,16 @@ class TestMaintainer:
         assert report.pruned == 3
         assert collector.metrics.counter("metrics.rules_evaluated").total() == 0
 
-    def test_incomplete_log_falls_back_to_full_reevaluation(self):
+    def test_incomplete_log_falls_back_to_full_reevaluation(
+        self, monkeypatch
+    ):
         graph, maintainer = fresh_maintainer()
-        log = GraphChangeLog(capacity=1).attach(graph)
+        monkeypatch.setattr(store, "CHANGE_LOG_SIZE", 1)
         since = graph.epoch
         graph.update_node("t2", {"text": "one"})
         graph.update_node("u1", {"name": "renamed"})   # drops the first
-        assert not log.complete_since(since)
-        report = maintainer.apply_log(log, since)
+        assert graph.changes_since(since) is None
+        report = maintainer.apply(graph.changes_since(since))
         assert report.full_fallback
         assert report.reevaluated == 3                 # every evaluable rule
         assert report.pruned == 0
@@ -262,18 +256,16 @@ class TestMaintainer:
 
     def test_savings_fraction_counts_only_evaluable_rules(self):
         graph, maintainer = fresh_maintainer()
-        log = GraphChangeLog().attach(graph)
         since = graph.epoch
         graph.update_node("t2", {"text": "x"})
-        report = maintainer.apply_log(log, since)
+        report = maintainer.apply(graph.changes_since(since))
         assert report.savings == pytest.approx(2 / 3)
 
     def test_edge_delta_reaches_rules_via_edge_type(self):
         graph, maintainer = fresh_maintainer()
-        log = GraphChangeLog().attach(graph)
         since = graph.epoch
         graph.remove_edge("f1")
-        report = maintainer.apply_log(log, since)
+        report = maintainer.apply(graph.changes_since(since))
         assert [c.rule_text for c in report.changes] == ["follows shape"]
         follows = maintainer.run.results[2].metrics
         assert follows.support == 0
@@ -281,10 +273,9 @@ class TestMaintainer:
     def test_obs_counters_account_for_the_pass(self):
         graph, maintainer = fresh_maintainer()
         collector = obs.install()
-        log = GraphChangeLog().attach(graph)
         since = graph.epoch
         graph.update_node("t2", {"text": "x"})
-        maintainer.apply_log(log, since)
+        maintainer.apply(graph.changes_since(since))
         counters = collector.metrics
         assert counters.counter("stream.maintenance_batches").total() == 1
         assert counters.counter("stream.rules_reevaluated").total() == 1

@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.datasets.base import Dataset, DirtReport
+from repro.encoding import IncidentEncoder, SlidingWindowChunker
 from repro.graph import PropertyGraph
 from repro.metrics.definitions import RuleMetrics
 from repro.stream import (
@@ -240,27 +241,43 @@ class TestWatchService:
     def test_flush_clears_the_consumed_changelog_prefix(self):
         service = watch_service()
         service.prime()
-        service.submit({"mutations": [
+        ack = service.submit({"mutations": [
             {"op": "set_props", "target": "node", "id": "t0",
              "properties": {"text": "x"}},
         ]})
+        assert ack["pending"] == 1
         service.flush()
-        assert len(service.changelog) == 0
+        # the pass consumed the delta: none is left after its epoch
+        assert service.graph.changes_since(service._maintained_epoch) == []
+        assert service.telemetry()["changelog"]["size"] == 0
         assert not service.dirty
 
-    def test_windows_are_refreshed_and_accounted(self):
+    def test_flush_encodes_nothing(self, monkeypatch):
         service = watch_service()
         service.prime()
-        total_before = service._window_set.window_count
+        calls = []
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(IncidentEncoder, "encode")
+        spy(SlidingWindowChunker, "chunk_statements")
         service.submit({"mutations": [
             {"op": "set_props", "target": "node", "id": "u0",
              "properties": {"screen_name": "@renamed"}},
+            {"op": "add_node", "id": "u9", "labels": ["User"],
+             "properties": {"id": 9}},
         ]})
-        service.flush()
-        telemetry = service.telemetry()
-        assert telemetry["windows"] is not None
-        assert telemetry["maintenance"]["windows_changed"] >= 1
-        assert service._window_set.window_count >= total_before - 1
+        report = service.flush()
+        assert report is not None and report.deltas == 2
+        assert calls == []
+        assert "windows" not in service.telemetry()
 
     def test_telemetry_shape(self):
         service = watch_service()
