@@ -109,9 +109,12 @@ def _run(graph, text):
     return Executor(graph).run(parse(text))
 
 
-def _work(graph, text):
+def _work(graph, text, *, cold=True):
     """(rows, seeds, expansions, visits, CSR slices) for one execution,
-    read from the matcher's obs counters."""
+    read from the matcher's obs counters; ``cold`` runs it on a fresh
+    snapshot, whose count views are empty, so a count walks."""
+    if cold:
+        graph.invalidate_columnar()
     collector = obs.install()
     try:
         result = _run(graph, text)
@@ -179,10 +182,14 @@ def test_planner_ab_three_clause_join_planned(benchmark, graph):
 
 def test_selective_filter_work_pinned(graph):
     """An index seed on ``p.id`` plus a typed SCORED_GOAL slice: one
-    seed, one slice fetch, and nothing in it to expand."""
+    seed, one slice fetch, and nothing in it to expand.  Run again on the
+    same snapshot, the count view it left answers with no work."""
     result, seeds, expansions, visits, slices = _work(graph, AB_QUERY)
     assert result.scalar() == 0
     assert (seeds, expansions, visits, slices) == (1, 0, 0, 1)
+    result, *work = _work(graph, AB_QUERY, cold=False)
+    assert result.scalar() == 0
+    assert work == [0, 0, 0, 0]
 
 
 def test_three_clause_join_work_pinned(graph):

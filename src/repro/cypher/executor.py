@@ -533,9 +533,11 @@ class Executor:
         """The number of matches of a count-only clause, counted on the
         snapshot (``clause`` is what the reference matcher counts)."""
         stats = MatchStats()
-        count = count_matches(self.graph, clause_plan, self.parameters, stats)
+        count, how = count_matches(
+            self.graph, clause_plan, self.parameters, stats
+        )
         _record_match(stats, clause_plan, count)
-        obs.inc("cypher.counted", how=clause_plan.count)
+        obs.inc("cypher.counted", how=how)
         return count
 
     def _match_row(

@@ -30,7 +30,18 @@ of the graph's current epoch (:class:`repro.graph.columnar.ColumnarGraph`):
 :func:`count_matches` answers a clause the planner marked count-only
 (one node or one typed hop, every filter a column test) without
 building any bindings: from the snapshot's live totals when nothing
-filters, else by walking the planned seed and the typed slice.
+filters, else from a *count view* or by walking the planned seed and
+the typed slice.  A view is the count of one count shape (node labels,
+edge type and direction, column tests with type-tagged literals; no
+variable names) kept on the snapshot it was counted on.  The first
+count on a snapshot derived from another carries every view of the
+parent by the batch's deltas: per view and per touched member (a node
+view's node deltas; a hop view's edges of its type, plus those around
+a node whose properties changed when it tests node properties) it adds
+the member's membership on the new snapshot and subtracts it on the
+parent, with the view's own label codes and column tests bound to each
+snapshot.  So a re-scoring after a mutation batch costs the batch, not
+the graph.
 
 A planned clause runs the planner's steps (:mod:`repro.cypher.planner`):
 reordered and possibly reversed patterns, a :class:`SeedSpec` per
@@ -43,7 +54,7 @@ node), with no pushdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from repro.cypher.ast_nodes import (
     BinaryOp,
@@ -60,6 +71,7 @@ from repro.cypher.ast_nodes import (
 )
 from repro.cypher.errors import CypherError, CypherSemanticError
 from repro.cypher.evaluator import EvalContext, _equals, evaluate
+from repro.graph.changelog import DeltaKind, GraphDelta
 from repro.graph.columnar import ColumnarGraph
 from repro.graph.model import Edge, Node
 from repro.graph.store import PropertyGraph, property_index_key
@@ -77,6 +89,9 @@ _ColumnTest = tuple[bool, str, str, object]
 
 #: no constant: :func:`_constant`'s answer for anything else
 _NOT_CONSTANT = object()
+
+#: count views one snapshot keeps; past it the oldest are dropped first
+COUNT_VIEW_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -784,22 +799,194 @@ def count_tests(
     return tuple(per_node)
 
 
+class _CountShape(NamedTuple):
+    """What a count-only clause counts, without its variable names."""
+
+    labels: tuple[tuple[str, ...], ...]       # per node element
+    etype: str | None                         # the hop's type; None: one node
+    out: bool                                 # the hop leaves the first node
+    tests: tuple[tuple[_ColumnTest, ...], ...]  # per node element
+
+
+def _typed(value: object) -> object:
+    """``value`` tagged with its type, lists and tuples item by item:
+    ``1``, ``1.0`` and ``true`` are equal and hash alike in Python, but
+    Cypher's ``1 = true`` is false, so a view key must tell them
+    apart."""
+    if isinstance(value, (list, tuple)):
+        return ("list", tuple(_typed(item) for item in value))
+    return (type(value).__name__, value)
+
+
+def _remember(views: dict, key: tuple, entry: tuple) -> None:
+    """Insert a view, dropping the oldest past :data:`COUNT_VIEW_SIZE`.
+    Readers insert without a lock: ``list(views)`` is one C-level copy
+    and ``pop`` with a default never raises, so a concurrent insert or
+    eviction is safe."""
+    views[key] = entry
+    excess = len(views) - COUNT_VIEW_SIZE
+    if excess > 0:
+        for oldest in list(views)[:excess]:
+            views.pop(oldest, None)
+
+
+def _bind_shape(snapshot: ColumnarGraph, shape: _CountShape) -> tuple:
+    """The label codes and the bound column tests of each node element
+    of ``shape`` on ``snapshot``."""
+    codes = [
+        tuple(snapshot.label_code.get(label, -1) for label in labels)
+        for labels in shape.labels
+    ]
+    tests = [_bind_columns(snapshot, node_tests) for node_tests in shape.tests]
+    return codes, tests
+
+
+def _members(
+    snapshot: ColumnarGraph, shape: _CountShape, members: set[str]
+) -> int:
+    """How many of ``members`` (node ids for a node shape, edge ids for
+    a hop) ``shape`` counts on ``snapshot``; absent or dead ones count
+    0."""
+    codes, tests = _bind_shape(snapshot, shape)
+    has_labels = snapshot.has_labels
+    found = 0
+    if shape.etype is None:
+        (node_codes,), (node_tests,) = codes, tests
+        node_index = snapshot.node_index
+        for node_id in members:
+            nid = node_index.get(node_id)
+            if nid is None:
+                continue
+            if node_codes and not has_labels(nid, node_codes):
+                continue
+            if node_tests and not _passes_columns(nid, -1, node_tests):
+                continue
+            found += 1
+        return found
+    (first_codes, end_codes), (first_tests, end_tests) = codes, tests
+    tc = snapshot.etype_code.get(shape.etype)
+    edge_index = snapshot.edge_index
+    for edge_id in members:
+        eid = edge_index.get(edge_id)
+        if eid is None or snapshot.edge_types[eid] != tc:
+            continue
+        first, end = snapshot.edge_src[eid], snapshot.edge_dst[eid]
+        if not shape.out:
+            first, end = end, first
+        if first_codes and not has_labels(first, first_codes):
+            continue
+        if first_tests and not _passes_columns(first, -1, first_tests):
+            continue
+        if end_codes and not has_labels(end, end_codes):
+            continue
+        if end_tests and not _passes_columns(end, eid, end_tests):
+            continue
+        found += 1
+    return found
+
+
+def _edges_around(
+    snapshot: ColumnarGraph, node_ids: set[str], etype: str
+) -> Iterator[str]:
+    """Ids of the ``etype`` edges entering or leaving each of
+    ``node_ids`` on ``snapshot``."""
+    tc = snapshot.etype_code.get(etype)
+    if tc is None:
+        return
+    for node_id in node_ids:
+        nid = snapshot.node_index.get(node_id)
+        if nid is None:
+            continue
+        for out in (True, False):
+            for eid, _nbr in snapshot.adjacency(nid, tc, out):
+                yield snapshot.edge_ids[eid]
+
+
+def _touched(
+    deltas: Sequence[GraphDelta],
+) -> tuple[set[str], set[str], dict[str, set[str]]]:
+    """The subjects of ``deltas``: every node, the nodes whose
+    properties changed, and the edges per edge type."""
+    nodes: set[str] = set()
+    prop_nodes: set[str] = set()
+    edges: dict[str, set[str]] = {}
+    for delta in deltas:
+        kind = delta.kind
+        if kind.is_node:
+            nodes.add(delta.subject_id)
+            if kind is DeltaKind.NODE_PROPS:
+                prop_nodes.add(delta.subject_id)
+        else:
+            edges.setdefault(delta.edge_label, set()).add(delta.subject_id)
+    return nodes, prop_nodes, edges
+
+
+def _carry_views(snapshot: ColumnarGraph) -> None:
+    """Carry the count views of ``snapshot``'s parent across the deltas
+    between them (see module doc), once; then drop the link.
+
+    Readers on several threads may run this and insert views at once:
+    the parent's table is copied in one C-level call before it is
+    iterated, and the carried table is published with one assignment
+    before the link is dropped.
+    """
+    link = snapshot.link
+    if link is None:
+        return
+    parent, deltas = link
+    views = list(parent.count_views.items())
+    if views:
+        nodes, prop_nodes, edges = _touched(deltas)
+        carried = {}
+        for key, (count, shape) in views:
+            if shape.etype is None:
+                members = nodes
+            else:
+                members = set(edges.get(shape.etype, ()))
+                # node labels never change in this store (there is no
+                # label mutator), so a hop view's labels move only with
+                # its edges; its node property tests move with the
+                # edges around each node whose properties changed
+                if prop_nodes and any(
+                    not on_edge for node_tests in shape.tests
+                    for on_edge, _key, _kind, _payload in node_tests
+                ):
+                    for side in (parent, snapshot):
+                        members.update(
+                            _edges_around(side, prop_nodes, shape.etype)
+                        )
+            if members:
+                count += _members(snapshot, shape, members) - _members(
+                    parent, shape, members
+                )
+            carried[key] = (count, shape)
+        snapshot.count_views = carried
+    snapshot.link = None
+
+
 def count_matches(
     graph: PropertyGraph,
     plan: object,
     parameters: Mapping[str, object] | None = None,
     stats: MatchStats | None = None,
-) -> int:
+) -> tuple[int, str]:
     """The number of matches of a clause the planner marked count-only
     (a :class:`repro.cypher.planner.ClausePlan` whose ``count`` is set:
     one step, one node or one single-type directed hop, every filter a
-    column test), found without building a bindings dict.
+    column test), found without building a bindings dict, and how it was
+    found: ``"total"``, ``"view"`` or ``"scan"``.
 
     ``"total"`` reads the snapshot's live totals (``node_count``,
-    ``label_sizes`` or ``etype_counts``) and seeds nothing.  ``"scan"``
-    walks the planned seed and the typed slice as the row walk does,
-    with the same ``stats``, and counts what passes the label codes and
-    column tests.
+    ``label_sizes`` or ``etype_counts``) and seeds nothing.  Otherwise
+    the snapshot's count view of the clause's shape answers (``"view"``,
+    no ``stats``), carried from its parent first when the snapshot is
+    newly derived (see module doc); failing that, ``"scan"`` walks the
+    planned seed and the typed slice as the row walk does, with the same
+    ``stats``, counts what passes the label codes and column tests, and
+    keeps the count as a view unless the shape names a label or type the
+    snapshot has not interned (a later batch may intern it).  A hop
+    seeded by the all-nodes scan seeds only the nodes with an edge of
+    its type in the walked direction.
     """
     step = plan.steps[0]
     elements = step.pattern.elements
@@ -807,31 +994,48 @@ def count_matches(
     if plan.count == "total":
         if len(elements) == 1:
             if not elements[0].labels:
-                return snapshot.node_count()
+                return snapshot.node_count(), "total"
             code = snapshot.label_code.get(elements[0].labels[0])
-            return 0 if code is None else snapshot.label_sizes.get(code, 0)
+            return (
+                0 if code is None else snapshot.label_sizes.get(code, 0)
+            ), "total"
         code = snapshot.etype_code.get(elements[1].types[0])
-        return 0 if code is None else snapshot.etype_counts.get(code, 0)
+        return (
+            0 if code is None else snapshot.etype_counts.get(code, 0)
+        ), "total"
 
-    tests = [
-        _bind_columns(snapshot, node_tests)
-        for node_tests in count_tests(step.pattern, step.checks)
-    ]
-    codes = [
-        tuple(snapshot.label_code.get(label, -1) for label in node.labels)
-        for node in elements[::2]
-    ]
-    first_codes, first_tests = codes[0], tests[0]
     hop = len(elements) == 3
+    shape = _CountShape(
+        tuple(tuple(node.labels) for node in elements[::2]),
+        elements[1].types[0] if hop else None,
+        hop and elements[1].direction == "out",
+        count_tests(step.pattern, step.checks),
+    )
+    key = (shape.labels, shape.etype, shape.out, _typed(shape.tests))
+    _carry_views(snapshot)
+    entry = snapshot.count_views.get(key)
+    if entry is not None:
+        return entry[0], "view"
+
+    codes, tests = _bind_shape(snapshot, shape)
+    first_codes, first_tests = codes[0], tests[0]
     if hop:
-        rel_tc = snapshot.single_type_code(elements[1].types[0])
-        out = elements[1].direction == "out"
+        rel_tc = snapshot.single_type_code(shape.etype)
+        out = shape.out
         end_codes, end_tests = codes[1], tests[1]
+    if hop and step.seed.kind == "scan":
+        # only nodes with an edge of the type in the walked direction
+        ends = (snapshot.etype_src if out else snapshot.etype_dst).get(
+            rel_tc, ()
+        )
+        seeds = map(snapshot.node_index.__getitem__, ends)
+    else:
+        seeds = _seed_nids(
+            graph, snapshot, elements[0], step.seed, {}, parameters
+        )
     has_labels = snapshot.has_labels
     count = seeded = visits = frontiers = 0
-    for nid in _seed_nids(
-        graph, snapshot, elements[0], step.seed, {}, parameters
-    ):
+    for nid in seeds:
         seeded += 1
         if first_codes and not has_labels(nid, first_codes):
             continue
@@ -854,7 +1058,13 @@ def count_matches(
         stats.frontiers += frontiers
         stats.visits += visits
         stats.expansions += visits
-    return count
+    interned = all(
+        label in snapshot.label_code
+        for labels in shape.labels for label in labels
+    ) and (not hop or shape.etype in snapshot.etype_code)
+    if interned:
+        _remember(snapshot.count_views, key, (count, shape))
+    return count, "scan"
 
 
 def pattern_exists(

@@ -27,8 +27,9 @@ count queries per mined rule, repeated across the experiment grid):
   a column test on one element's own property is marked count-only
   (:attr:`ClausePlan.count`): the matcher counts it on the CSR snapshot
   (:func:`repro.cypher.matcher.count_matches`) and builds no rows,
-  reading a live total when nothing filters (``"total"``) and walking
-  the planned seed otherwise (``"scan"``).
+  reading a live total when nothing filters (``"total"``), and
+  otherwise answering from the snapshot's count view of its shape or
+  walking the planned seed (``"scan"``).
 
 Plans are advisory: seeds fall back to label scans when a lookup value
 is unindexable, and every candidate is re-verified by the matcher, so a
@@ -694,7 +695,8 @@ class QueryPlanner:
 # ----------------------------------------------------------------------
 _COUNT_TEXT = {
     "total": "total (a live total of the snapshot; no walk, no rows)",
-    "scan": "scan (walks the seed below; no rows built)",
+    "scan": "scan (a count view of its shape, else walks the seed "
+            "below; no rows built)",
 }
 
 

@@ -16,13 +16,27 @@ Adjacency is kept twice per direction: ``eids`` in store insertion order
 so a single-type expansion is one contiguous slice with zero per-edge
 filtering while untyped expansion keeps store order bit-for-bit.
 
-Snapshots are copy-on-write: :meth:`ColumnarGraph.apply_deltas` clones
-the container spine (C-level copies) and layers small mutations on top —
+Snapshots are copy-on-write: :meth:`ColumnarGraph.apply_deltas` copies
+the flat, id-indexed containers (C-level copies) and shares the nested
+per-key ones — property columns, label members, value indexes and
+counters, each adjacency's ``extras`` rows — with its parent, copying
+one only on its first write, then layers small mutations on top:
 appended nodes/edges, per-node ``extras`` adjacency, dead-id tombstone
-sets — so a handful of deltas never forces an O(graph) recompile.  The
-store recompiles with :func:`compile_graph` past a budget or when its
-change log lost history.  A snapshot lives only in the process that
-compiled it: a gateway worker compiles its own on its first query.
+sets, value-index entries moved by bisection.  A batch thus costs what
+it touches, the parent reads exactly as before, and a handful of deltas
+never forces an O(graph) recompile.  The store recompiles with
+:func:`compile_graph` past a budget or when its change log lost history.
+A snapshot lives only in the process that compiled it: a gateway worker
+compiles its own on its first query.
+
+A derived snapshot keeps a ``link`` to its parent and the compacted
+deltas between them, so readers can carry what they derived from the
+parent instead of recomputing it: the planner catalog's property
+sketches (:mod:`repro.graph.statistics`) and the matcher's count views
+(:mod:`repro.cypher.matcher`), which this layer stores in
+``count_views`` without reading them.  Deriving a child clears the
+parent's own link, so a chain never keeps more than two snapshots alive
+beyond those a reader still holds.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ from repro.graph.store import property_index_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.changelog import GraphDelta
+    from repro.graph.statistics import PropertySketch
     from repro.graph.store import PropertyGraph
 
 __all__ = [
@@ -81,14 +96,6 @@ class _Adjacency:
         self.seg_starts = seg_starts
         self.extras = {} if extras is None else extras
 
-    def clone(self) -> "_Adjacency":
-        # base arrays are immutable once compiled; only extras are copied
-        return _Adjacency(
-            self.offsets, self.eids, self.typed_eids,
-            self.seg_bounds, self.seg_types, self.seg_starts,
-            {nid: list(entries) for nid, entries in self.extras.items()},
-        )
-
     def typed_range(self, nid: int, type_code: int) -> tuple[int, int]:
         """[start, end) into ``typed_eids`` of ``nid``'s ``type_code`` row."""
         lo = self.seg_bounds[nid]
@@ -102,6 +109,33 @@ class _Adjacency:
                 )
                 return start, end
         return 0, 0
+
+
+def _shared_adjacency(adj: _Adjacency) -> _Adjacency:
+    # compiled arrays never change; ``extras`` rows are copied on write
+    return _Adjacency(
+        adj.offsets, adj.eids, adj.typed_eids,
+        adj.seg_bounds, adj.seg_types, adj.seg_starts, dict(adj.extras),
+    )
+
+
+def _set_row(col: list, row: int, value: object) -> None:
+    if len(col) <= row:
+        col.extend([None] * (row + 1 - len(col)))
+    col[row] = value
+
+
+def _copy_index(
+    entry: tuple[list, list[int]] | None = None,
+) -> tuple[list, list[int]]:
+    return ([], []) if entry is None else (list(entry[0]), list(entry[1]))
+
+
+def _index_slot(keys: list, nids: list[int], key: object, nid: int) -> int:
+    """Where (``key``, ``nid``) sits in a value index sorted by
+    (index key, dense id)."""
+    lo = bisect_left(keys, key)
+    return bisect_left(nids, nid, lo, bisect_right(keys, key, lo))
 
 
 def _build_adjacency(rows: list[list[tuple[int, int]]]) -> _Adjacency:
@@ -131,7 +165,8 @@ def _build_adjacency(rows: list[list[tuple[int, int]]]) -> _Adjacency:
 
 
 class ColumnarGraph:
-    """Immutable int-id CSR snapshot of one graph epoch (see module doc)."""
+    """Int-id CSR snapshot of one graph epoch (see module doc), immutable
+    once built except for the reader-derived fields last in its slots."""
 
     __slots__ = (
         # interned dictionaries
@@ -151,6 +186,8 @@ class ColumnarGraph:
         "dead_nodes", "dead_edges", "base_node_count", "overlay_ops",
         # provenance
         "graph_token", "epoch", "origin", "revision",
+        # derived by readers: the parent link and what they carry over it
+        "link", "sketches", "count_views",
     )
 
     def __init__(self) -> None:
@@ -189,6 +226,13 @@ class ColumnarGraph:
         self.epoch = 0
         self.origin = "full"
         self.revision = 0
+        # (parent snapshot, compacted deltas from it) until a reader
+        # carries what it derived from the parent, or a child is derived
+        self.link: tuple["ColumnarGraph", Sequence["GraphDelta"]] | None = None
+        # PropertySketch per (label code, key code), filled by the catalog
+        self.sketches: dict[tuple[int, int], "PropertySketch"] = {}
+        # the matcher's count views, opaque here
+        self.count_views: dict = {}
 
     # ------------------------------------------------------------------
     # interning
@@ -316,6 +360,8 @@ class ColumnarGraph:
     # incremental maintenance
     # ------------------------------------------------------------------
     def _clone(self) -> "ColumnarGraph":
+        # flat, id-indexed containers are copied at C speed; nested
+        # per-key containers are shared until :meth:`_own` copies one
         snap = ColumnarGraph.__new__(ColumnarGraph)
         snap.labels = list(self.labels)
         snap.label_code = dict(self.label_code)
@@ -327,31 +373,23 @@ class ColumnarGraph:
         snap.node_index = dict(self.node_index)
         snap.node_objs = list(self.node_objs)
         snap.node_label_codes = list(self.node_label_codes)
-        snap.label_members = {
-            code: list(members) for code, members in self.label_members.items()
-        }
+        snap.label_members = dict(self.label_members)
         snap.label_sizes = dict(self.label_sizes)
-        snap.node_cols = {code: list(col) for code, col in self.node_cols.items()}
+        snap.node_cols = dict(self.node_cols)
         snap.sorted_index = dict(self.sorted_index)
-        snap.pair_counts = {
-            pair: Counter(counts) for pair, counts in self.pair_counts.items()
-        }
+        snap.pair_counts = dict(self.pair_counts)
         snap.edge_ids = list(self.edge_ids)
         snap.edge_index = dict(self.edge_index)
         snap.edge_objs = list(self.edge_objs)
         snap.edge_types = array("I", self.edge_types)
         snap.edge_src = array("I", self.edge_src)
         snap.edge_dst = array("I", self.edge_dst)
-        snap.edge_cols = {code: list(col) for code, col in self.edge_cols.items()}
+        snap.edge_cols = dict(self.edge_cols)
         snap.etype_counts = dict(self.etype_counts)
-        snap.etype_src = {
-            code: Counter(counts) for code, counts in self.etype_src.items()
-        }
-        snap.etype_dst = {
-            code: Counter(counts) for code, counts in self.etype_dst.items()
-        }
-        snap.out_adj = self.out_adj.clone()
-        snap.in_adj = self.in_adj.clone()
+        snap.etype_src = dict(self.etype_src)
+        snap.etype_dst = dict(self.etype_dst)
+        snap.out_adj = _shared_adjacency(self.out_adj)
+        snap.in_adj = _shared_adjacency(self.in_adj)
         snap.dead_nodes = set(self.dead_nodes)
         snap.dead_edges = set(self.dead_edges)
         snap.base_node_count = self.base_node_count
@@ -360,53 +398,107 @@ class ColumnarGraph:
         snap.epoch = self.epoch
         snap.origin = self.origin
         snap.revision = self.revision
+        snap.link = None
+        snap.sketches = {}
+        snap.count_views = {}
         return snap
 
     def apply_deltas(
         self, graph: "PropertyGraph", deltas: Sequence["GraphDelta"]
     ) -> "ColumnarGraph":
-        """A new snapshot with ``deltas`` layered on top of this one.
+        """A new snapshot with ``deltas`` layered on top of this one,
+        which reads exactly as before.
 
         ``deltas`` are compacted, as ``PropertyGraph.changes_since``
         returns them, and ``graph`` must be the post-delta state
         (subjects of add deltas are resolved against it).  Raises on any
         inconsistency: a delta this snapshot cannot apply is a bug, not a
-        reason to recompile.
+        reason to recompile.  The new snapshot links back to this one
+        with ``deltas``, and keeps the catalog sketches of every
+        (label, key) pair whose counter the batch did not write; this
+        snapshot's own link is cleared (the only field written here).
         """
         snap = self._clone()
-        dirty_pairs: set[tuple[int, int]] = set()
+        # (id(table), key) of every container this derivation copied
+        owned: set[tuple[int, object]] = set()
         for delta in deltas:
             kind = delta.kind
             if kind is DeltaKind.NODE_ADDED:
-                snap._overlay_node_added(graph, delta, dirty_pairs)
+                snap._overlay_node_added(graph, delta, owned)
             elif kind is DeltaKind.NODE_REMOVED:
-                snap._overlay_node_removed(delta, dirty_pairs)
+                snap._overlay_node_removed(delta, owned)
             elif kind is DeltaKind.NODE_PROPS:
-                snap._overlay_node_props(graph, delta, dirty_pairs)
+                snap._overlay_node_props(graph, delta, owned)
             elif kind is DeltaKind.EDGE_ADDED:
-                snap._overlay_edge_added(graph, delta)
+                snap._overlay_edge_added(graph, delta, owned)
             elif kind is DeltaKind.EDGE_REMOVED:
-                snap._overlay_edge_removed(delta)
+                snap._overlay_edge_removed(delta, owned)
             else:  # EDGE_PROPS
-                snap._overlay_edge_props(graph, delta)
-        snap._rebuild_sorted_indexes(dirty_pairs)
+                snap._overlay_edge_props(graph, delta, owned)
+        sketches = dict(self.sketches)    # one C-level copy: readers add
+        counters = id(snap.pair_counts)
+        for table, pair in owned:
+            if table != counters:
+                continue
+            sketches.pop(pair, None)
+            if not snap.pair_counts[pair]:
+                del snap.pair_counts[pair]
+                del snap.sorted_index[pair]
+        snap.sketches = sketches
         snap.overlay_ops += len(deltas)
         snap.origin = "incremental"
         snap.revision += 1
         snap.graph_token, snap.epoch = graph.fingerprint()
+        self.link = None
+        snap.link = (self, deltas)
         return snap
 
-    def _col_set(self, cols: dict[int, list], code: int, row: int, value: object) -> None:
-        col = cols.get(code)
-        if col is None:
-            col = cols[code] = []
-        if len(col) <= row:
-            col.extend([None] * (row + 1 - len(col)))
-        col[row] = value
+    def _own(
+        self, table: dict, key: object, copy, owned: set[tuple[int, object]]
+    ):
+        """``table[key]``, ready for writing: on this derivation's first
+        write to it, a copy (``copy(value)``, or ``copy()`` when absent)
+        replaces the container the parent shares."""
+        token = (id(table), key)
+        if token in owned:
+            return table[key]
+        owned.add(token)
+        value = table.get(key)
+        value = table[key] = copy() if value is None else copy(value)
+        return value
+
+    def _move_value(
+        self, nid: int, lcodes: tuple[int, ...], kc: int,
+        old_key: object | None, new_key: object | None,
+        owned: set[tuple[int, object]],
+    ) -> None:
+        """Move node ``nid``'s (label, ``kc``) counts and value-index
+        entries from ``old_key`` to ``new_key`` (None: no entry).  Each
+        index stays sorted by (index key, dense id), as compiled."""
+        for lc in lcodes:
+            pair = (lc, kc)
+            counts = self._own(self.pair_counts, pair, Counter, owned)
+            keys, nids = self._own(self.sorted_index, pair, _copy_index, owned)
+            if old_key is not None:
+                counts[old_key] -= 1
+                if counts[old_key] <= 0:
+                    del counts[old_key]
+                at = _index_slot(keys, nids, old_key, nid)
+                if at == len(nids) or (keys[at], nids[at]) != (old_key, nid):
+                    raise ValueError(
+                        f"value index {pair} has no entry for node {nid}"
+                    )
+                del keys[at]
+                del nids[at]
+            if new_key is not None:
+                counts[new_key] += 1
+                at = _index_slot(keys, nids, new_key, nid)
+                keys.insert(at, new_key)
+                nids.insert(at, nid)
 
     def _overlay_node_added(
         self, graph: "PropertyGraph", delta: "GraphDelta",
-        dirty_pairs: set[tuple[int, int]],
+        owned: set[tuple[int, object]],
     ) -> None:
         node = graph.node(delta.subject_id)
         nid = len(self.node_ids)
@@ -416,21 +508,17 @@ class ColumnarGraph:
         lcodes = tuple(self._intern_label(l) for l in sorted(node.labels))
         self.node_label_codes.append(lcodes)
         for lc in lcodes:
-            self.label_members.setdefault(lc, []).append(nid)
+            self._own(self.label_members, lc, list, owned).append(nid)
             self.label_sizes[lc] = self.label_sizes.get(lc, 0) + 1
         for key, value in node.properties.items():
             kc = self._intern_pkey(key)
-            self._col_set(self.node_cols, kc, nid, value)
+            _set_row(self._own(self.node_cols, kc, list, owned), nid, value)
             index_key = property_index_key(value)
-            if index_key is None:
-                continue
-            for lc in lcodes:
-                pair = (lc, kc)
-                self.pair_counts.setdefault(pair, Counter())[index_key] += 1
-                dirty_pairs.add(pair)
+            if index_key is not None:
+                self._move_value(nid, lcodes, kc, None, index_key, owned)
 
     def _overlay_node_removed(
-        self, delta: "GraphDelta", dirty_pairs: set[tuple[int, int]]
+        self, delta: "GraphDelta", owned: set[tuple[int, object]]
     ) -> None:
         nid = self.node_index.pop(delta.subject_id)
         self.dead_nodes.add(nid)
@@ -440,16 +528,12 @@ class ColumnarGraph:
         for kc, col in self.node_cols.items():
             value = col[nid] if nid < len(col) else None
             index_key = property_index_key(value)
-            if index_key is None:
-                continue
-            for lc in lcodes:
-                pair = (lc, kc)
-                self._uncount(pair, index_key)
-                dirty_pairs.add(pair)
+            if index_key is not None:
+                self._move_value(nid, lcodes, kc, index_key, None, owned)
 
     def _overlay_node_props(
         self, graph: "PropertyGraph", delta: "GraphDelta",
-        dirty_pairs: set[tuple[int, int]],
+        owned: set[tuple[int, object]],
     ) -> None:
         nid = self.node_index[delta.subject_id]
         node = graph.node(delta.subject_id)
@@ -457,32 +541,18 @@ class ColumnarGraph:
         lcodes = self.node_label_codes[nid]
         for key in delta.keys:
             kc = self._intern_pkey(key)
-            col = self.node_cols.get(kc)
-            old = col[nid] if col is not None and nid < len(col) else None
+            col = self.node_cols.get(kc, ())
+            old = col[nid] if nid < len(col) else None
             new = node.properties.get(key)
-            self._col_set(self.node_cols, kc, nid, new)
+            _set_row(self._own(self.node_cols, kc, list, owned), nid, new)
             old_key = property_index_key(old)
             new_key = property_index_key(new)
-            if old_key == new_key:
-                continue
-            for lc in lcodes:
-                pair = (lc, kc)
-                if old_key is not None:
-                    self._uncount(pair, old_key)
-                if new_key is not None:
-                    self.pair_counts.setdefault(pair, Counter())[new_key] += 1
-                dirty_pairs.add(pair)
-
-    def _uncount(self, pair: tuple[int, int], index_key: object) -> None:
-        counts = self.pair_counts.get(pair)
-        if counts is None:
-            return
-        counts[index_key] -= 1
-        if counts[index_key] <= 0:
-            del counts[index_key]
+            if old_key != new_key:
+                self._move_value(nid, lcodes, kc, old_key, new_key, owned)
 
     def _overlay_edge_added(
-        self, graph: "PropertyGraph", delta: "GraphDelta"
+        self, graph: "PropertyGraph", delta: "GraphDelta",
+        owned: set[tuple[int, object]],
     ) -> None:
         edge = graph.edge(delta.subject_id)
         eid = len(self.edge_ids)
@@ -496,14 +566,17 @@ class ColumnarGraph:
         self.edge_src.append(src)
         self.edge_dst.append(dst)
         for key, value in edge.properties.items():
-            self._col_set(self.edge_cols, self._intern_pkey(key), eid, value)
-        self.out_adj.extras.setdefault(src, []).append((tc, eid))
-        self.in_adj.extras.setdefault(dst, []).append((tc, eid))
+            kc = self._intern_pkey(key)
+            _set_row(self._own(self.edge_cols, kc, list, owned), eid, value)
+        self._own(self.out_adj.extras, src, list, owned).append((tc, eid))
+        self._own(self.in_adj.extras, dst, list, owned).append((tc, eid))
         self.etype_counts[tc] = self.etype_counts.get(tc, 0) + 1
-        self.etype_src.setdefault(tc, Counter())[edge.src] += 1
-        self.etype_dst.setdefault(tc, Counter())[edge.dst] += 1
+        self._own(self.etype_src, tc, Counter, owned)[edge.src] += 1
+        self._own(self.etype_dst, tc, Counter, owned)[edge.dst] += 1
 
-    def _overlay_edge_removed(self, delta: "GraphDelta") -> None:
+    def _overlay_edge_removed(
+        self, delta: "GraphDelta", owned: set[tuple[int, object]]
+    ) -> None:
         eid = self.edge_index.pop(delta.subject_id)
         edge = self.edge_objs[eid]
         tc = self.edge_types[eid]
@@ -514,54 +587,30 @@ class ColumnarGraph:
         ):
             extras = adj.extras.get(nid)
             if extras:
+                # a new row: the parent keeps the one it shares
                 adj.extras[nid] = [e for e in extras if e[1] != eid]
         self.etype_counts[tc] = self.etype_counts.get(tc, 0) - 1
-        for counter, endpoint in (
-            (self.etype_src.get(tc), edge.src),
-            (self.etype_dst.get(tc), edge.dst),
+        for table, endpoint in (
+            (self.etype_src, edge.src),
+            (self.etype_dst, edge.dst),
         ):
-            if counter is not None:
-                counter[endpoint] -= 1
-                if counter[endpoint] <= 0:
-                    del counter[endpoint]
+            counter = self._own(table, tc, Counter, owned)
+            counter[endpoint] -= 1
+            if counter[endpoint] <= 0:
+                del counter[endpoint]
 
     def _overlay_edge_props(
-        self, graph: "PropertyGraph", delta: "GraphDelta"
+        self, graph: "PropertyGraph", delta: "GraphDelta",
+        owned: set[tuple[int, object]],
     ) -> None:
         eid = self.edge_index[delta.subject_id]
         edge = graph.edge(delta.subject_id)
         self.edge_objs[eid] = edge
         for key in delta.keys:
-            self._col_set(
-                self.edge_cols, self._intern_pkey(key), eid,
+            kc = self._intern_pkey(key)
+            _set_row(
+                self._own(self.edge_cols, kc, list, owned), eid,
                 edge.properties.get(key),
-            )
-
-    def _rebuild_sorted_indexes(
-        self, dirty_pairs: set[tuple[int, int]]
-    ) -> None:
-        for pair in dirty_pairs:
-            counts = self.pair_counts.get(pair)
-            if not counts:
-                self.pair_counts.pop(pair, None)
-                self.sorted_index.pop(pair, None)
-                continue
-            lc, kc = pair
-            col = self.node_cols.get(kc, ())
-            width = len(col)
-            dead = self.dead_nodes
-            entries = []
-            for nid in self.label_members.get(lc, ()):
-                if nid in dead:
-                    continue
-                value = col[nid] if nid < width else None
-                index_key = property_index_key(value)
-                if index_key is not None:
-                    entries.append((index_key, nid))
-            entries.sort()
-            self.sorted_index[pair] = (
-                [entry[0] for entry in entries],
-                [entry[1] for entry in entries],
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -592,7 +641,7 @@ def compile_graph(graph: "PropertyGraph") -> ColumnarGraph:
             snap.label_sizes[lc] = snap.label_sizes.get(lc, 0) + 1
         for key, value in node.properties.items():
             kc = snap._intern_pkey(key)
-            snap._col_set(snap.node_cols, kc, nid, value)
+            _set_row(snap.node_cols.setdefault(kc, []), nid, value)
             index_key = property_index_key(value)
             if index_key is None:
                 continue
@@ -628,7 +677,8 @@ def compile_graph(graph: "PropertyGraph") -> ColumnarGraph:
         snap.etype_src.setdefault(tc, Counter())[edge.src] += 1
         snap.etype_dst.setdefault(tc, Counter())[edge.dst] += 1
         for key, value in edge.properties.items():
-            snap._col_set(snap.edge_cols, snap._intern_pkey(key), eid, value)
+            kc = snap._intern_pkey(key)
+            _set_row(snap.edge_cols.setdefault(kc, []), eid, value)
 
     snap.out_adj = _build_adjacency(out_rows)
     snap.in_adj = _build_adjacency(in_rows)

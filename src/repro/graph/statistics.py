@@ -211,22 +211,30 @@ def catalog_from_columnar(snapshot: "ColumnarGraph") -> GraphCatalog:
     per-edge-type endpoint counters, so this costs O(distinct values)
     instead of an O(nodes + edges) rescan.  On a freshly compiled
     snapshot the counters are accumulated in node-insertion order, so
-    MCV sketches tie-break in insertion order.
+    MCV sketches tie-break in insertion order.  Sketches are kept on the
+    snapshot (``sketches``), and an incrementally derived snapshot
+    starts with its parent's for every pair whose counter its batch did
+    not write (the very same ``Counter``), so only the rest are derived.
     """
     label_counts = {
         snapshot.labels[code]: size
         for code, size in snapshot.label_sizes.items()
         if size > 0
     }
-    sketches = {
-        (snapshot.labels[lc], snapshot.pkeys[kc]): PropertySketch(
-            present=sum(counts.values()),
-            distinct=len(counts),
-            top=tuple(counts.most_common(MCV_WIDTH)),
-        )
-        for (lc, kc), counts in snapshot.pair_counts.items()
-        if counts
-    }
+    known = snapshot.sketches
+    sketches = {}
+    for pair, counts in snapshot.pair_counts.items():
+        if not counts:
+            continue
+        sketch = known.get(pair)
+        if sketch is None:
+            sketch = known[pair] = PropertySketch(
+                present=sum(counts.values()),
+                distinct=len(counts),
+                top=tuple(counts.most_common(MCV_WIDTH)),
+            )
+        lc, kc = pair
+        sketches[(snapshot.labels[lc], snapshot.pkeys[kc])] = sketch
     edge_stats = {
         snapshot.etypes[tc]: EdgeLabelStats(
             count=count,

@@ -345,7 +345,9 @@ class PropertyGraph:
         catalog = catalog_from_columnar(snapshot)
         if snapshot.origin == "incremental":
             _metric_inc("graph.catalog.incremental_updates")
-        self._catalog_cache = (self._epoch, catalog)
+        # stamped with the snapshot's epoch, not the store's: a write
+        # committed since columnar() returned must not adopt this catalog
+        self._catalog_cache = (snapshot.epoch, catalog)
         return catalog
 
     # ------------------------------------------------------------------

@@ -14,18 +14,27 @@ self-loops and parallel edges; queries reuse the full planner corpus
 plus columnar stress queries (column-pushable equality on unicode and
 list values, IS NULL on a stored-None column, relationship-property
 column tests, counts answered without rows, and comparisons that raise
-a type error).
+a type error).  Counts carried across random mutation batches by the
+matcher's count views must equal the reference after every batch, and
+deriving a snapshot must leave every container of its parent as it was.
 """
 
+import copy
+import itertools
 from collections import Counter
 from contextlib import nullcontext
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cypher import CypherError, Executor, parse
+from repro import obs
+from repro.cypher import CypherError, Executor, matcher, parse
 from repro.graph import PropertyGraph
+from repro.graph.columnar import ColumnarGraph, _Adjacency
 from tests.reference_matcher import reference_engine
+from tests.test_graph_columnar import assert_snapshot_matches_store
 from tests.test_planner_equivalence import (
     _LABEL_SETS,
     QUERY_CORPUS,
@@ -225,3 +234,165 @@ def test_columnar_parameterized_unicode(spec, value):
 def test_columnar_self_loop_var_length(spec):
     """A var-length walk joining back to its own start node."""
     _agree(build_rich(spec), "MATCH (a)-[:R*1..3]->(a) RETURN a.p AS p")
+
+
+# ----------------------------------------------------------------------
+# random mutation batches: counts carried by views, snapshot isolation
+# ----------------------------------------------------------------------
+_NAN = float("nan")
+#: node property values a batch writes: stored nulls, NaN, numbers that
+#: Python hashes alike but Cypher tells apart, unicode, lists
+_NODE_VALUES = (None, _NAN, 0, 1, 1.0, True, "å", "日本", "", [1, 2],
+                [True, 2], [], [_NAN])
+_EDGE_VALUES = (None, _NAN, 0, 1, 2, 1.0, 2.0, [1])
+_NODE_KEYS = ("p", "q", "u", "nil", "l")
+
+#: the count corpus, plus hops whose node tests only move with the
+#: edges around a node whose properties changed
+CARRY_QUERIES = COUNT_QUERIES + (
+    "MATCH (a)-[:R]->(b) WHERE b.p = 1 RETURN count(*) AS c",
+    "MATCH (a)-[:R]->(b) WHERE a.p IS NULL RETURN count(*) AS c",
+    "MATCH (a:A)-[r:S]->(b) WHERE a.u IS NOT NULL RETURN count(*) AS c",
+    "MATCH (a)<-[:S]-(b) WHERE a.u IS NOT NULL AND b.q IS NULL "
+    "RETURN count(*) AS c",
+    "MATCH (a)<-[r:R]-(b:B) WHERE a.q = true AND r.w IS NULL "
+    "RETURN count(*) AS c",
+)
+
+
+def _random_write(data, graph, serial) -> None:
+    """One random mutation of ``graph``, drawn against its contents."""
+    nodes = [node.id for node in graph.nodes()]
+    edges = [edge.id for edge in graph.edges()]
+    kinds = ["add_node"]
+    if nodes:
+        kinds += ["set_node", "unset_node", "remove_node", "add_edge"]
+    if edges:
+        kinds += ["remove_edge", "set_edge"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "add_node":
+        keys = data.draw(st.lists(st.sampled_from(_NODE_KEYS), unique=True))
+        graph.add_node(
+            f"m{next(serial)}", data.draw(st.sampled_from(_LABEL_SETS)),
+            {key: data.draw(st.sampled_from(_NODE_VALUES)) for key in keys},
+        )
+    elif kind == "set_node":
+        graph.update_node(data.draw(st.sampled_from(nodes)), {
+            data.draw(st.sampled_from(_NODE_KEYS)):
+                data.draw(st.sampled_from(_NODE_VALUES)),
+        })
+    elif kind == "unset_node":
+        graph.remove_node_property(
+            data.draw(st.sampled_from(nodes)),
+            data.draw(st.sampled_from(_NODE_KEYS)),
+        )
+    elif kind == "remove_node":
+        graph.remove_node(data.draw(st.sampled_from(nodes)))
+    elif kind == "add_edge":
+        properties = {}
+        if data.draw(st.booleans()):
+            properties["w"] = data.draw(st.sampled_from(_EDGE_VALUES))
+        graph.add_edge(
+            f"f{next(serial)}", data.draw(st.sampled_from(["R", "S"])),
+            data.draw(st.sampled_from(nodes)),
+            data.draw(st.sampled_from(nodes)), properties,
+        )
+    elif kind == "remove_edge":
+        graph.remove_edge(data.draw(st.sampled_from(edges)))
+    else:
+        graph.update_edge(data.draw(st.sampled_from(edges)), {
+            "w": data.draw(st.sampled_from(_EDGE_VALUES)),
+        })
+
+
+def _random_batch(data, graph, serial, *, overflow=False, probe=None):
+    with graph.batch():
+        for _ in range(data.draw(st.integers(1, 5))):
+            _random_write(data, graph, serial)
+        if probe is not None:
+            _agree(graph, probe)              # on a mid-batch snapshot
+        if overflow:
+            # more compacted deltas than the overlay budget (64 here):
+            # the next snapshot is a full recompile, with no views
+            for index in range(70):
+                graph.add_node(f"bulk{next(serial)}", "A", {"p": index % 3})
+
+
+@pytest.mark.parametrize("view_size", [matcher.COUNT_VIEW_SIZE, 2])
+@given(spec=rich_graphs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_carried_counts_equal_reference(view_size, spec, data):
+    """Every count statement equals the reference after every random
+    batch, whether its view was carried, evicted, skipped for a few
+    epochs or dropped by a recompile or a mid-batch snapshot."""
+    collector = obs.install()
+    try:
+        with mock.patch.object(matcher, "COUNT_VIEW_SIZE", view_size):
+            graph = build_rich(spec)
+            for text in CARRY_QUERIES:
+                _agree(graph, text)
+            serial = itertools.count()
+            batches = data.draw(st.integers(1, 4))
+            overflow = data.draw(st.integers(0, batches))
+            for number in range(1, batches + 1):
+                _random_batch(
+                    data, graph, serial, overflow=1 < number == overflow,
+                    probe=data.draw(st.none() | st.sampled_from(
+                        CARRY_QUERIES
+                    )),
+                )
+                if number > 1 and data.draw(st.booleans()):
+                    graph.columnar()          # derived, nothing counted
+                    _random_batch(data, graph, serial)
+                order = data.draw(st.permutations(CARRY_QUERIES))
+                for text in order:
+                    # every statement on the first batch; some skipped
+                    # on later ones, so their views ride several batches
+                    if number > 1 and data.draw(st.booleans()):
+                        continue
+                    _agree(graph, text)
+                assert len(graph.columnar().count_views) <= view_size
+        if view_size == matcher.COUNT_VIEW_SIZE:
+            # the first batch is incremental, and every statement counted
+            # once per snapshot: only a carried view can answer
+            counted = collector.metrics.counter("cypher.counted")
+            assert counted.value(how="view") > 0
+    finally:
+        obs.uninstall()
+
+
+def _containers(snapshot) -> dict:
+    """A deep copy of every container of ``snapshot`` but the fields its
+    readers write (the link, sketches and count views)."""
+    state = {}
+    for name in ColumnarGraph.__slots__:
+        if name in ("link", "sketches", "count_views"):
+            continue
+        value = getattr(snapshot, name)
+        if isinstance(value, _Adjacency):
+            value = {slot: getattr(value, slot) for slot in value.__slots__}
+        state[name] = copy.deepcopy(value)
+    return state
+
+
+@given(spec=rich_graphs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_deriving_a_snapshot_leaves_its_parent_unchanged(spec, data):
+    """The parent is itself incremental (so it has overlay rows, dead ids
+    and moved index entries to share), reads exactly as before after a
+    child is derived, and the child matches the store and a fresh
+    compile, value indexes included."""
+    graph = build_rich(spec)
+    graph.columnar()
+    serial = itertools.count()
+    _random_batch(data, graph, serial)
+    parent = graph.columnar()
+    before = _containers(parent)
+    _random_batch(data, graph, serial)
+    child = graph.columnar()
+    assert child is not parent
+    assert child.origin == "incremental"
+    assert _containers(parent) == before
+    assert parent.link is None
+    assert child.link[0] is parent
+    assert_snapshot_matches_store(child, graph)

@@ -6,13 +6,18 @@ executor then answers ``[{x: n}]`` from :func:`count_matches` without
 building a row.  Every count here is checked against the reference
 matcher, which counts its own matches and never enters
 ``count_matches``; every shape outside the counted set must take the
-row walk.
+row walk.  A scanned count is kept as a count view of its shape and
+carried to the next snapshot by a mutation batch's deltas.
 """
+
+import sys
+import threading
+import time
 
 import pytest
 
 from repro import obs
-from repro.cypher import Executor, execute, explain, parse
+from repro.cypher import Executor, execute, explain, matcher, parse
 from repro.cypher import executor as executor_module
 from repro.cypher.matcher import _column_test, _prepare_pattern
 from repro.cypher.planner import QueryPlanner
@@ -285,3 +290,194 @@ class TestColumnTests:
         rows = Executor(graph).run(query).rows
         assert sorted(row["id"] for row in rows) == [1, 3]
         assert rows == reference_rows(graph, text)
+
+
+# ----------------------------------------------------------------------
+# count views
+# ----------------------------------------------------------------------
+def count(graph, text) -> int:
+    """The engine's count, without the statement memo."""
+    return Executor(graph).run(parse(text)).scalar()
+
+
+def seeds(collector) -> float:
+    return collector.metrics.counter("matcher.seeds").total()
+
+
+@pytest.mark.parametrize("text,sources,targets", [
+    ("MATCH ()-[r:HAS_SESSION]->() WHERE r.since IS NOT NULL "
+     "RETURN count(*) AS c", 1, 1),                   # c1; u1
+    ("MATCH ()<-[r:MEMBER_OF]-() WHERE r.since IS NULL "
+     "RETURN count(*) AS c", 5, 2),                   # u1-3, g1, g2; g1, g2
+    ("MATCH ()-[r:NOPE]->() WHERE r.since IS NULL RETURN count(*) AS c",
+     0, 0),
+])
+def test_scan_seeded_hop_seeds_only_nodes_with_its_edges(
+    collector, text, sources, targets
+):
+    """An all-nodes seed of a counted hop enumerates only the nodes with
+    an edge of its type in the walked direction (the planner may turn
+    the hop around)."""
+    graph = office_graph()
+    plan = QueryPlanner().plan(parse(text), graph).clause_plan(0, 0)
+    (step,) = plan.steps
+    assert step.seed.kind == "scan"
+    assert count(graph, text) == reference_rows(graph, text)[0]["c"]
+    out = step.pattern.elements[1].direction == "out"
+    assert seeds(collector) == (sources if out else targets)
+    assert counted(collector) == {"scan": 1}
+
+
+def test_a_view_answers_one_shape_under_any_names(collector):
+    """Variable names and the alias are not part of the shape; a view
+    answer walks nothing but still records the count it returned."""
+    graph = office_graph()
+    assert count(graph, "MATCH (u:User) WHERE u.owned = 1 "
+                        "RETURN count(*) AS body") == 2
+    walked = seeds(collector)
+    assert count(graph, "MATCH (x:User) WHERE x.owned = 1 "
+                        "RETURN count(*) AS satisfy") == 2
+    assert counted(collector) == {"scan": 1, "view": 1}
+    assert seeds(collector) == walked
+    actual = collector.metrics.histogram("planner.actual_rows").snapshot()
+    assert (actual.count, actual.sum) == (2, 4)
+
+
+def test_view_keys_tell_literal_types_apart(collector):
+    """``1``, ``1.0`` and ``true`` hash alike in Python; in Cypher
+    ``1 = true`` is false, so each literal gets its own view, lists
+    included."""
+    graph = office_graph()
+    texts = [
+        "MATCH (n:User) WHERE n.owned = 1 RETURN count(*) AS c",
+        "MATCH (n:User) WHERE n.owned = true RETURN count(*) AS c",
+        "MATCH (n:User) WHERE n.owned = 1.0 RETURN count(*) AS c",
+        "MATCH (n) WHERE n.tags = [1, 2] RETURN count(*) AS c",
+        "MATCH (n) WHERE n.tags = [true, 2] RETURN count(*) AS c",
+    ]
+    for _ in range(2):
+        for text in texts:
+            assert count(graph, text) == reference_rows(graph, text)[0]["c"]
+    assert counted(collector) == {"scan": 5, "view": 5}
+
+
+def test_a_batch_carries_views_to_the_next_snapshot(collector):
+    graph = office_graph()
+    texts = [text for text, how in COUNTED if how == "scan"]
+    for text in texts:
+        count(graph, text)
+    walked = seeds(collector)
+    graph.remove_node("u3")                   # and m3, m4
+    graph.update_node("u1", {"owned": 1})
+    graph.update_node("g1", {"id": 7})        # moves hops into g1
+    graph.update_edge("m2", {"since": 2020})
+    graph.add_node("u5", "User", {"id": 5, "owned": True})
+    graph.add_edge("m6", "MEMBER_OF", "u5", "g2", {"since": "2021"})
+    snapshot = graph.columnar()
+    assert snapshot.origin == "incremental"
+    assert snapshot.link is not None
+    for text in texts:
+        assert count(graph, text) == reference_rows(graph, text)[0]["c"]
+    assert snapshot.link is None
+    assert counted(collector) == {"scan": len(texts), "view": len(texts)}
+    assert seeds(collector) == walked
+
+
+def test_a_shape_naming_an_uninterned_label_keeps_no_view(collector):
+    graph = office_graph()
+    text = "MATCH (n:Fresh) WHERE n.id = 1 RETURN count(*) AS c"
+    assert count(graph, text) == 0
+    assert graph.columnar().count_views == {}
+    graph.add_node("f1", "Fresh", {"id": 1})
+    assert count(graph, text) == 1
+    assert counted(collector) == {"scan": 2}
+
+
+def test_the_oldest_view_is_dropped_first(monkeypatch):
+    monkeypatch.setattr(matcher, "COUNT_VIEW_SIZE", 2)
+    graph = office_graph()
+    for key in ("id", "owned", "name"):
+        count(graph, f"MATCH (n:User) WHERE n.{key} IS NULL "
+                     f"RETURN count(*) AS c")
+    views = graph.columnar().count_views
+    assert [shape.tests[0][0][1] for _count, shape in views.values()] == [
+        "owned", "name",
+    ]
+
+
+def test_snapshots_without_a_counted_parent_start_with_no_views(collector):
+    """A recompile, an invalidated snapshot, a mid-batch snapshot and a
+    snapshot derived before anyone counted on its parent all scan."""
+    text = "MATCH (n:User) WHERE n.owned IS NOT NULL RETURN count(*) AS c"
+    graph = office_graph()
+    count(graph, text)
+    graph.invalidate_columnar()
+    count(graph, text)
+    with graph.batch():
+        graph.add_node("u9", "User", {"owned": True})
+        assert count(graph, text) == 5       # a throwaway snapshot
+    count(graph, text)                         # carried from before the batch
+    graph.add_node("u10", "User", {"owned": True})
+    graph.columnar()                           # derived, nothing counted
+    graph.add_node("u11", "User", {"owned": True})
+    assert count(graph, text) == reference_rows(graph, text)[0]["c"] == 7
+    assert counted(collector) == {"scan": 4, "view": 1}
+
+
+def test_readers_on_threads_count_while_a_writer_commits():
+    """Readers share snapshots and write view tables without the graph
+    lock while batches land; no reader raises, and every count after the
+    last batch equals the reference."""
+    texts = [text for text, how in COUNTED if how == "scan"]
+    graph = office_graph()
+    stop = threading.Event()
+    errors: list[Exception] = []
+    finals: list[list[int]] = []
+
+    def reader() -> None:
+        try:
+            while not stop.is_set():
+                for text in texts:
+                    count(graph, text)
+            finals.append([count(graph, text) for text in texts])
+        except Exception as error:
+            errors.append(error)
+
+    def writer() -> None:
+        serial = 0
+        deadline = time.monotonic() + 1.5
+        try:
+            while time.monotonic() < deadline:
+                serial += 1
+                with graph.batch():
+                    graph.add_node(f"w{serial}", "User", {
+                        "id": serial, "owned": serial % 2 == 0,
+                    })
+                    graph.add_edge(
+                        f"wm{serial}", "MEMBER_OF", f"w{serial}", "g1",
+                        {"since": 2020 if serial % 3 else None},
+                    )
+                    if serial > 2:
+                        graph.remove_node(f"w{serial - 2}")
+                    graph.update_node("u2", {"owned": serial % 3})
+        except Exception as error:
+            errors.append(error)
+        finally:
+            stop.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    expected = [reference_rows(graph, text)[0]["c"] for text in texts]
+    assert finals == [expected] * 3

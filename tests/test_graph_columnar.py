@@ -116,6 +116,49 @@ def assert_snapshot_matches_store(snapshot, graph) -> None:
         got = {snapshot.node_objs[nid].id
                for nid in snapshot.label_candidates(label)}
         assert got == {node.id for node in graph.nodes(label)}
+    assert _counters_by_name(snapshot) == _counters_by_name(
+        compile_graph(graph)
+    )
+
+
+def _counters_by_name(snapshot) -> dict:
+    """Value indexes, pair counts, label sizes and edge-type counters,
+    keyed by label, key and type names and listing nodes by id, so an
+    incremental snapshot compares with a fresh compile whose dense ids
+    differ.  Each value index must also be sorted by (index key, dense
+    id), as compiled."""
+    labels, pkeys, etypes = snapshot.labels, snapshot.pkeys, snapshot.etypes
+    node_ids = snapshot.node_ids
+    indexes = {}
+    for (lc, kc), (keys, nids) in snapshot.sorted_index.items():
+        entries = list(zip(keys, nids))
+        assert entries == sorted(entries)
+        indexes[(labels[lc], pkeys[kc])] = sorted(
+            (key, node_ids[nid]) for key, nid in entries
+        )
+    return {
+        "sorted_index": indexes,
+        "pair_counts": {
+            (labels[lc], pkeys[kc]): dict(counts)
+            for (lc, kc), counts in snapshot.pair_counts.items()
+        },
+        "label_sizes": {
+            labels[lc]: size
+            for lc, size in snapshot.label_sizes.items() if size
+        },
+        "etype_counts": {
+            etypes[tc]: count
+            for tc, count in snapshot.etype_counts.items() if count
+        },
+        "etype_src": {
+            etypes[tc]: dict(counts)
+            for tc, counts in snapshot.etype_src.items() if counts
+        },
+        "etype_dst": {
+            etypes[tc]: dict(counts)
+            for tc, counts in snapshot.etype_dst.items() if counts
+        },
+    }
 
 
 class TestCompile:
@@ -296,6 +339,41 @@ class TestCatalog:
                 sketch.present, sketch.distinct,
             )
             assert dict(other.top) == dict(sketch.top)
+
+
+    def test_catalog_is_stamped_with_its_snapshots_epoch(self, monkeypatch):
+        """A write committed between ``columnar()`` and the cache stamp
+        must not leave the older catalog cached under the newer epoch."""
+        graph = PropertyGraph("stamp")
+        graph.add_node("a", "User", {"id": 1})
+        graph.add_node("b", "User", {"id": 2})
+        real = PropertyGraph.columnar
+
+        def columnar_then_write(self):
+            snapshot = real(self)
+            monkeypatch.undo()                # one racing write only
+            self.add_node("c", "Fresh")
+            return snapshot
+
+        monkeypatch.setattr(PropertyGraph, "columnar", columnar_then_write)
+        stale = graph.catalog()
+        assert "Fresh" not in stale.label_counts
+        assert graph.epoch == 3
+        assert graph.catalog().label_counts == {"User": 2, "Fresh": 1}
+
+    def test_untouched_sketches_are_carried(self):
+        """A batch that writes one (label, key) counter keeps the very
+        same sketch object for every other pair."""
+        graph = sample_graph()
+        before = graph.catalog().property_sketches
+        graph.update_node("t", {"text": "bye"})
+        after = graph.catalog().property_sketches
+        assert graph.columnar().origin == "incremental"
+        assert after[("Tweet", "text")] != before[("Tweet", "text")]
+        for pair, sketch in before.items():
+            if pair != ("Tweet", "text"):
+                assert after[pair] is sketch
+        assert after == rescan_catalog(graph).property_sketches
 
 
 class TestOrderSize:

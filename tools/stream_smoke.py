@@ -15,7 +15,10 @@ streaming contract end to end:
 3. the gateway's CSR snapshot absorbed the drift batch incrementally:
    ``graph.csr.incremental_updates`` grew, ``graph.csr.compiles`` did
    not, and ``stream.poll_errors`` stayed 0;
-4. the ``/drift`` telemetry endpoint reports the maintenance pass and
+4. the re-scoring after the drift batch answered at least one count
+   from a view carried across the batch: ``cypher.counted{how=view}``
+   grew in the gateway process, with no recompile;
+5. the ``/drift`` telemetry endpoint reports the maintenance pass and
    the drift events.
 
 Writes the final ``/drift`` exposition (plus the drift counter state)
@@ -144,10 +147,14 @@ def main(argv: list[str] | None = None) -> int:
         print("  watcher primed (baseline rule set mined)")
 
         def csr_counters():
-            return {
+            counters = {
                 name: collector.metrics.counter(name).total()
                 for name in CSR_COUNTERS
             }
+            counters["cypher.counted{how=view}"] = (
+                collector.metrics.counter("cypher.counted").value(how="view")
+            )
+            return counters
 
         csr_before = csr_counters()
         ack = client.mutate(args.dataset, DRIFT_BATCH)
@@ -214,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         # --------------------------------------------------------------
         csr_after = csr_counters()
         grown = {
-            name: csr_after[name] - csr_before[name] for name in CSR_COUNTERS
+            name: csr_after[name] - csr_before[name] for name in csr_after
         }
         if (
             grown["graph.csr.incremental_updates"] < 1
@@ -227,6 +234,20 @@ def main(argv: list[str] | None = None) -> int:
                 f"stream.poll_errors={csr_after['stream.poll_errors']})"
             )
         print(f"  CSR updated incrementally: {grown}")
+
+        # --------------------------------------------------------------
+        # 4. the re-scoring counted from views carried across the batch
+        # --------------------------------------------------------------
+        if grown["cypher.counted{how=view}"] < 1:
+            return fail(
+                f"the re-scoring after the drift batch answered no count "
+                f"from a carried view (counter growth across the batch: "
+                f"{grown})"
+            )
+        print(
+            f"  counts answered from carried views: "
+            f"{grown['cypher.counted{how=view}']:.0f}"
+        )
 
         stats = client.stats()
         if stats["watch"]["watched"] != [args.dataset]:
